@@ -13,7 +13,8 @@
 //!
 //! This binary — and only this binary — installs the counting global
 //! allocator, so it additionally gates the arena hot path at **zero**
-//! heap allocations per steady-state training batch.
+//! heap allocations per steady-state training batch, for an MLP and for
+//! the small CNN.
 
 use unifyfl_bench::speed::{self, GateStatus, ONE_CORE_OVERHEAD_FACTOR};
 
@@ -52,17 +53,20 @@ fn main() {
             pair.label,
         );
     }
-    // Allocation bar: with the counting allocator installed the probe
-    // always runs, and the arena path must hold at exactly zero heap
-    // allocations per warmed-up batch.
-    let allocs = bench
-        .train_batch_allocs
-        .expect("counting allocator is installed in this binary");
-    assert_eq!(
-        allocs, 0,
-        "steady-state training batches performed {allocs} heap allocation(s); \
-         the arena path must perform none"
-    );
+    // Allocation bar: with the counting allocator installed the probes
+    // always run, and the arena path must hold at exactly zero heap
+    // allocations per warmed-up batch, for the MLP and the small CNN.
+    for (model, allocs) in [
+        ("mlp", bench.train_batch_allocs),
+        ("small-cnn", bench.cnn_train_batch_allocs),
+    ] {
+        let allocs = allocs.expect("counting allocator is installed in this binary");
+        assert_eq!(
+            allocs, 0,
+            "steady-state {model} training batches performed {allocs} heap allocation(s); \
+             the arena path must perform none"
+        );
+    }
     // Performance bar: ≥1.5x on the 3-aggregator quickstart config, on a
     // multicore host (on heavily contended shared hosts set
     // UNIFYFL_SPEED_GATE=off). On a single-core host the parallel engine

@@ -22,23 +22,30 @@
 //! `tests/engine_parallel.rs` rather than timed here. The `speed` binary
 //! emits `BENCH_speed.json` (schema in `docs/BENCH.md`).
 //!
-//! Two PR 10 hot-path probes ride along with the engine comparison:
+//! Three hot-path probes ride along with the engine comparison:
 //!
 //! - [`kernel_speedup`] times the cache-blocked matmul against the naive
 //!   triple loop it is proven bit-identical to (recorded in the JSON, not
 //!   gated — microbench ratios are too host-sensitive for CI).
+//! - [`conv_kernel_speedup`] does the same for the lowered `Conv2d`
+//!   against its frozen direct loops, at the small CNN's shape.
 //! - [`measure_train_batch_allocs`] counts heap allocations across a
 //!   window of warmed-up training batches under the counting allocator
-//!   ([`crate::alloc`]); the `speed` binary gates it at **zero**, proving
-//!   the arena path really removed per-batch allocation.
+//!   ([`crate::alloc`]), once for an MLP and once for the small CNN; the
+//!   `speed` binary gates both at **zero**, proving the arena path really
+//!   removed per-batch allocation.
 
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use unifyfl_core::experiment::{run_experiment, Engine, ExperimentConfig, ExperimentReport, Mode};
 use unifyfl_core::profile::{self, PhaseTimes};
 use unifyfl_core::report::render_run_table;
+use unifyfl_tensor::arena::Arena;
+use unifyfl_tensor::layers::{conv_backward_naive, conv_forward_naive, Conv2d, Layer};
 use unifyfl_tensor::optim::Sgd;
-use unifyfl_tensor::zoo::ModelSpec;
+use unifyfl_tensor::zoo::{Architecture, ModelSpec};
 use unifyfl_tensor::Tensor;
 
 use crate::{scalability, Scale};
@@ -111,10 +118,15 @@ pub struct SpeedBench {
     /// Blocked-vs-naive matmul wall ratio from [`kernel_speedup`]
     /// (recorded, not gated).
     pub kernel_speedup: f64,
-    /// Heap allocations across the steady-state batch window from
-    /// [`measure_train_batch_allocs`]; `None` when the counting allocator
-    /// is not installed (library tests).
+    /// Naive-vs-lowered conv forward + backward wall ratio from
+    /// [`conv_kernel_speedup`] (recorded, not gated).
+    pub conv_kernel_speedup: f64,
+    /// Heap allocations across the steady-state batch window of the MLP
+    /// probe ([`measure_train_batch_allocs`]); `None` when the counting
+    /// allocator is not installed (library tests).
     pub train_batch_allocs: Option<u64>,
+    /// The same count for the small-CNN probe.
+    pub cnn_train_batch_allocs: Option<u64>,
 }
 
 /// Hardware threads available to this process (1 if undeterminable).
@@ -200,35 +212,101 @@ fn microbench_tensor(n: usize, salt: u64) -> Tensor {
 /// strides by `k` on every inner step.
 pub fn kernel_speedup() -> f64 {
     const N: usize = 128;
-    const REPS: usize = 5;
     let a = microbench_tensor(N, 0x5EED);
     let b = microbench_tensor(N, 0xFACE);
     let mut out = Tensor::zeros(vec![N, N]);
-    let best = |f: &mut dyn FnMut()| {
-        f(); // warm-up: page in operands, stabilize the branch predictors
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let blocked = best(&mut || {
+    let blocked = best_of(&mut || {
         a.matmul_into(&b, &mut out);
         a.matmul_tn_into(&b, &mut out);
         a.matmul_nt_into(&b, &mut out);
     });
-    let naive = best(&mut || {
+    let naive = best_of(&mut || {
         out = a.matmul_naive(&b);
         out = a.matmul_tn_naive(&b);
         out = a.matmul_nt_naive(&b);
     });
-    if blocked > 0.0 {
-        naive / blocked
+    ratio(naive, blocked)
+}
+
+/// Repetitions each microbench takes the best wall of.
+const MICROBENCH_REPS: usize = 5;
+
+/// Best-of-[`MICROBENCH_REPS`] wall of `f`, after one warm-up call that
+/// pages in operands and stabilizes the branch predictors.
+fn best_of(f: &mut dyn FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..MICROBENCH_REPS {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// `slow / fast`, infinite when `fast` is below the timer's resolution.
+fn ratio(slow: f64, fast: f64) -> f64 {
+    if fast > 0.0 {
+        slow / fast
     } else {
         f64::INFINITY
     }
+}
+
+/// Times one training step of the small CNN's convolution — forward,
+/// then backward with the input gradient — as the lowered `Conv2d` (arena
+/// path) against the frozen direct loops it is proven bit-identical to,
+/// and returns `naive_wall / lowered_wall`. The shape is
+/// `ModelSpec::small_cnn`'s first layer at batch 5, the `cnn-sync`
+/// client's batch.
+pub fn conv_kernel_speedup() -> f64 {
+    const BATCH: usize = 5;
+    // Steps per timed call: one lowered step takes tens of microseconds,
+    // too close to the timer's resolution on its own.
+    const STEPS: usize = 20;
+    // The kernel `zoo::ModelSpec::build` gives the small CNN's conv.
+    const K: usize = 3;
+    const PAD: usize = 1;
+    let Architecture::SmallCnn {
+        in_c,
+        h,
+        w,
+        conv_channels,
+        ..
+    } = ModelSpec::small_cnn(10).arch
+    else {
+        unreachable!("small_cnn builds a SmallCnn architecture");
+    };
+    let x = microbench_images([BATCH, in_c, h, w]);
+    let g = microbench_images([BATCH, conv_channels, h, w]);
+    let mut conv = Conv2d::new(in_c, conv_channels, K, PAD, &mut StdRng::seed_from_u64(7));
+    let weight = Tensor::from_vec(vec![conv_channels, in_c, K, K], conv.params()[0].to_vec());
+    let bias = conv.params()[1].to_vec();
+    let mut arena = Arena::new();
+    let lowered = best_of(&mut || {
+        for _ in 0..STEPS {
+            let out = conv.forward_arena(&x, true, &mut arena);
+            let gin = conv.backward_arena(&g, &mut arena);
+            arena.recycle(gin);
+            arena.recycle(out);
+        }
+    });
+    let mut grad_w = vec![0.0; weight.len()];
+    let mut grad_b = vec![0.0; conv_channels];
+    let naive = best_of(&mut || {
+        for _ in 0..STEPS {
+            std::hint::black_box(conv_forward_naive(&x, &weight, &bias, PAD));
+            std::hint::black_box(conv_backward_naive(
+                &x,
+                &weight,
+                &g,
+                PAD,
+                &mut grad_w,
+                &mut grad_b,
+            ));
+        }
+    });
+    ratio(naive, lowered)
 }
 
 /// Counts heap allocations across a window of steady-state training
@@ -238,25 +316,22 @@ pub fn kernel_speedup() -> f64 {
 /// the arena pool, optimizer state, and scratch buffers; the counter delta
 /// is then taken over [`ALLOC_PROBE_BATCHES`] further batches.
 ///
-/// Returns `None` when [`crate::alloc::CountingAllocator`] is not the
-/// process's global allocator (library builds), so the zero gate can never
-/// pass vacuously against a dead counter.
-pub fn measure_train_batch_allocs() -> Option<u64> {
-    const BATCH: usize = 16;
+/// `x` is one batch of `spec`'s input; its leading dimension is the batch
+/// size. Returns `None` when [`crate::alloc::CountingAllocator`] is not
+/// the process's global allocator (library builds), so the zero gate can
+/// never pass vacuously against a dead counter.
+pub fn measure_train_batch_allocs(spec: &ModelSpec, x: &Tensor) -> Option<u64> {
     const WARMUP_BATCHES: usize = 8;
     if !crate::alloc::is_counting() {
         return None;
     }
-    // The quickstart workload's client shape: flat-16 input, 4 classes.
-    let spec = ModelSpec::mlp(16, vec![32], 4);
     let mut model = spec.build(7);
-    let x = microbench_tensor_batch(BATCH, 16);
-    let labels: Vec<usize> = (0..BATCH).map(|i| i % 4).collect();
+    let labels: Vec<usize> = (0..x.shape()[0]).map(|i| i % spec.classes()).collect();
     let mut opt = Sgd::new(0.05, 0.0);
     let mut params = Vec::with_capacity(model.param_count());
     let mut grads = Vec::with_capacity(model.param_count());
     let mut step = |model: &mut unifyfl_tensor::Sequential| {
-        let _loss = model.train_batch(&x, &labels);
+        let _loss = model.train_batch(x, &labels);
         model.flat_grads_into(&mut grads);
         model.flat_params_into(&mut params);
         opt.step(&mut params, &grads);
@@ -272,15 +347,40 @@ pub fn measure_train_batch_allocs() -> Option<u64> {
     Some(crate::alloc::allocation_count() - before)
 }
 
+/// The MLP allocation probe: the quickstart workload's client shape
+/// (flat-16 input, 4 classes) at batch 16.
+pub fn measure_mlp_train_batch_allocs() -> Option<u64> {
+    measure_train_batch_allocs(
+        &ModelSpec::mlp(16, vec![32], 4),
+        &microbench_tensor_batch(16, 16),
+    )
+}
+
+/// The conv allocation probe: `ModelSpec::small_cnn(10)` at batch 5, the
+/// `cnn-sync` client's shape.
+pub fn measure_cnn_train_batch_allocs() -> Option<u64> {
+    const BATCH: usize = 5;
+    let spec = ModelSpec::small_cnn(10);
+    let Architecture::SmallCnn { in_c, h, w, .. } = spec.arch else {
+        unreachable!("small_cnn builds a SmallCnn architecture");
+    };
+    measure_train_batch_allocs(&spec, &microbench_images([BATCH, in_c, h, w]))
+}
+
 /// Steady-state batches the allocation probe measures over.
 pub const ALLOC_PROBE_BATCHES: usize = 32;
 
-/// Deterministic `[batch, features]` input for the allocation probe.
+/// Deterministic `[batch, features]` input for the allocation probes.
 fn microbench_tensor_batch(batch: usize, features: usize) -> Tensor {
     let data = (0..batch * features)
         .map(|i| ((i as f32) * 0.37).sin())
         .collect();
     Tensor::from_vec(vec![batch, features], data)
+}
+
+/// Deterministic `[batch, c, h, w]` images for the conv probes.
+fn microbench_images([batch, c, h, w]: [usize; 4]) -> Tensor {
+    microbench_tensor_batch(batch, c * h * w).reshape(vec![batch, c, h, w])
 }
 
 fn run_arm(config: &ExperimentConfig, engine: Engine, repeats: usize) -> SpeedArm {
@@ -352,7 +452,7 @@ pub fn scalability_config(scale: Scale, seed: u64) -> ExperimentConfig {
 }
 
 /// Runs both configurations (quickstart and 60-client scalability), then
-/// the kernel microbench and the allocation probe.
+/// the kernel microbenches and the allocation probes.
 pub fn run(scale: Scale, seed: u64) -> SpeedBench {
     SpeedBench {
         threads: available_threads(),
@@ -365,7 +465,9 @@ pub fn run(scale: Scale, seed: u64) -> SpeedBench {
             ),
         ],
         kernel_speedup: kernel_speedup(),
-        train_batch_allocs: measure_train_batch_allocs(),
+        conv_kernel_speedup: conv_kernel_speedup(),
+        train_batch_allocs: measure_mlp_train_batch_allocs(),
+        cnn_train_batch_allocs: measure_cnn_train_batch_allocs(),
     }
 }
 
@@ -429,11 +531,17 @@ pub fn render_json(bench: &SpeedBench, seed: u64, gate: GateStatus) -> String {
         bench.kernel_speedup
     ));
     out.push_str(&format!(
+        "  \"conv_kernel_speedup\": {:.3},\n",
+        bench.conv_kernel_speedup
+    ));
+    let count = |n: Option<u64>| n.map_or_else(|| "null".to_owned(), |n| n.to_string());
+    out.push_str(&format!(
         "  \"train_batch_allocs\": {},\n",
-        match bench.train_batch_allocs {
-            Some(n) => n.to_string(),
-            None => "null".to_owned(),
-        }
+        count(bench.train_batch_allocs)
+    ));
+    out.push_str(&format!(
+        "  \"cnn_train_batch_allocs\": {},\n",
+        count(bench.cnn_train_batch_allocs)
     ));
     out.push_str(&format!(
         "  \"alloc_probe_batches\": {ALLOC_PROBE_BATCHES},\n"
@@ -502,14 +610,23 @@ pub fn render(bench: &SpeedBench) -> String {
         "blocked matmul vs naive (128^3): {:.2}x\n",
         bench.kernel_speedup
     ));
-    out.push_str(&match bench.train_batch_allocs {
-        Some(n) => format!(
-            "steady-state heap allocations over {ALLOC_PROBE_BATCHES} training batches: {n}\n"
-        ),
-        None => {
-            "steady-state allocation probe: skipped (counting allocator not installed)\n".to_owned()
-        }
-    });
+    out.push_str(&format!(
+        "lowered conv vs naive (small CNN, batch 5, fwd+bwd): {:.2}x\n",
+        bench.conv_kernel_speedup
+    ));
+    for (model, allocs) in [
+        ("mlp", bench.train_batch_allocs),
+        ("small cnn", bench.cnn_train_batch_allocs),
+    ] {
+        out.push_str(&match allocs {
+            Some(n) => format!(
+                "steady-state heap allocations over {ALLOC_PROBE_BATCHES} {model} training batches: {n}\n"
+            ),
+            None => format!(
+                "steady-state {model} allocation probe: skipped (counting allocator not installed)\n"
+            ),
+        });
+    }
     out
 }
 
@@ -538,7 +655,9 @@ mod tests {
             threads: available_threads(),
             pairs: vec![run_pair("quickstart-3agg-sync", &quickstart_config(7), 1)],
             kernel_speedup: 2.5,
+            conv_kernel_speedup: 4.0,
             train_batch_allocs: None,
+            cnn_train_batch_allocs: None,
         };
         let json = render_json(&bench, 7, gate_status(bench.threads));
         assert!(json.contains("\"bench\": \"speed\""));
@@ -547,8 +666,10 @@ mod tests {
         assert!(json.contains("\"gate\""));
         assert!(json.contains("\"one_core_gate\""));
         assert!(json.contains("\"kernel_speedup\": 2.500"));
+        assert!(json.contains("\"conv_kernel_speedup\": 4.000"));
         // A dead counter renders as an explicit null, never a fake zero.
         assert!(json.contains("\"train_batch_allocs\": null"));
+        assert!(json.contains("\"cnn_train_batch_allocs\": null"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -558,15 +679,17 @@ mod tests {
         // The ratio itself is host-dependent (the ≥1 expectation is only
         // asserted by eye in the JSON trajectory); tier-1 checks the
         // measurement machinery, not the hardware.
-        let ratio = kernel_speedup();
-        assert!(ratio.is_finite() && ratio > 0.0, "ratio {ratio}");
+        for ratio in [kernel_speedup(), conv_kernel_speedup()] {
+            assert!(ratio.is_finite() && ratio > 0.0, "ratio {ratio}");
+        }
     }
 
     #[test]
     fn alloc_probe_refuses_to_run_without_the_counting_allocator() {
         // Library test binaries use the system allocator, so the probe
         // must decline rather than report a vacuous zero.
-        assert_eq!(measure_train_batch_allocs(), None);
+        assert_eq!(measure_mlp_train_batch_allocs(), None);
+        assert_eq!(measure_cnn_train_batch_allocs(), None);
     }
 
     #[test]
@@ -575,7 +698,9 @@ mod tests {
             threads: available_threads(),
             pairs: vec![run_pair("quickstart-3agg-sync", &quickstart_config(11), 1)],
             kernel_speedup: 1.0,
+            conv_kernel_speedup: 1.0,
             train_batch_allocs: Some(0),
+            cnn_train_batch_allocs: Some(0),
         };
         let json = render_json(&bench, 11, gate_status(bench.threads));
         // Parse every phases object at millisecond precision and assert

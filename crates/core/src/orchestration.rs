@@ -1485,7 +1485,10 @@ impl AsyncPolicy {
                     LinkModel::Nominal => fed.clusters[idx].fetch_duration(),
                     LinkModel::Physical => cost,
                 };
-                let score = fed.clusters[idx].score_weights(&w);
+                let score = {
+                    let _phase = crate::profile::enter(crate::profile::Phase::Score);
+                    fed.clusters[idx].score_weights(&w)
+                };
                 let done = t + fetch + score_dur;
                 fed.record_scoring_burst(fetch + score_dur);
                 fed.record_ipfs_burst(fetch);

@@ -5,11 +5,13 @@
 //! [`Conv2d`] layers cover the paper's two model classes (the 62 K-param
 //! CNN for CIFAR-10 and the MLP proxy for VGG16).
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::arena::Arena;
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_acc, Tensor};
 
 /// A differentiable layer.
 pub trait Layer: Send {
@@ -47,6 +49,20 @@ pub trait Layer: Send {
     fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         let _ = arena;
         self.backward(grad_out)
+    }
+
+    /// Accumulates the parameter gradients for `grad_out` exactly as
+    /// [`Layer::backward_arena`] does, but produces no input gradient: a
+    /// stack's first layer has nobody to hand one to. The default runs
+    /// [`Layer::backward_arena`] and recycles the result; layers that hold
+    /// parameters override it to skip the input-gradient work.
+    ///
+    /// # Panics
+    ///
+    /// Implementations may panic if called before a training-mode forward.
+    fn backward_params(&mut self, grad_out: &Tensor, arena: &mut Arena) {
+        let grad_in = self.backward_arena(grad_out, arena);
+        arena.recycle(grad_in);
     }
 
     /// Flattened views of the parameters, in a stable order.
@@ -166,6 +182,24 @@ impl Dense {
             None => self.cached_input = Some(input.clone()),
         }
     }
+
+    /// `grad_w += xᵀ · g`, `grad_b += Σ_batch g`. The `xᵀ · g` product is
+    /// read in place (`matmul_tn`, no transposed copy) into the reused
+    /// scratch; it cannot accumulate straight into `grad_w`, since that
+    /// would change the f32 add order against the reference formulation.
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
+        let input = self
+            .cached_input
+            .as_ref()
+            .expect("backward requires a training-mode forward");
+        input.matmul_tn_into(grad_out, &mut self.scratch_gw);
+        self.grad_w.add_assign(&self.scratch_gw);
+        for row in grad_out.data().chunks_exact(self.out_dim) {
+            for (gb, &g) in self.grad_b.iter_mut().zip(row) {
+                *gb += g;
+            }
+        }
+    }
 }
 
 impl Layer for Dense {
@@ -192,47 +226,20 @@ impl Layer for Dense {
         out
     }
 
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        self.accumulate_grads(grad_out);
+        grad_out.matmul_nt(&self.w)
+    }
+
     fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward requires a training-mode forward");
-        // Same accumulation as `backward`, with the returned g · Wᵀ landing
-        // in an arena buffer instead of a fresh tensor.
-        input.matmul_tn_into(grad_out, &mut self.scratch_gw);
-        self.grad_w.add_assign(&self.scratch_gw);
-        let batch = grad_out.shape()[0];
-        for i in 0..batch {
-            for j in 0..self.out_dim {
-                self.grad_b[j] += grad_out.data()[i * self.out_dim + j];
-            }
-        }
-        let mut gin = arena.take(&[batch, self.in_dim]);
+        self.accumulate_grads(grad_out);
+        let mut gin = arena.take(&[grad_out.shape()[0], self.in_dim]);
         grad_out.matmul_nt_into(&self.w, &mut gin);
         gin
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward requires a training-mode forward");
-        // grad_w += xᵀ · g ; grad_b += Σ_batch g ; grad_in = g · Wᵀ
-        // Both matmuls read their transposed operand in place (matmul_tn /
-        // matmul_nt), so no `[in, batch]` or `[out, in]` copy is
-        // materialized per batch; the xᵀ·g product lands in the reused
-        // scratch (it cannot accumulate straight into grad_w — that would
-        // change the floating-point add order and break bit-for-bit
-        // reproducibility against the reference formulation).
-        input.matmul_tn_into(grad_out, &mut self.scratch_gw);
-        self.grad_w.add_assign(&self.scratch_gw);
-        let batch = grad_out.shape()[0];
-        for i in 0..batch {
-            for j in 0..self.out_dim {
-                self.grad_b[j] += grad_out.data()[i * self.out_dim + j];
-            }
-        }
-        grad_out.matmul_nt(&self.w)
+    fn backward_params(&mut self, grad_out: &Tensor, _arena: &mut Arena) {
+        self.accumulate_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&[f32]> {
@@ -422,15 +429,43 @@ impl Layer for Flatten {
 /// 2-D convolution, stride 1, zero "same" padding optional.
 ///
 /// Input `[batch, in_c, h, w]`, kernel `[out_c, in_c, kh, kw]`, output
-/// `[batch, out_c, h', w']` with `h' = h - kh + 1 + 2·pad`. Direct loops —
-/// the reproduction's images are tiny (8×8), so an im2col path would add
-/// complexity without observable benefit.
+/// `[batch, out_c, h', w']` with `h' = h - kh + 1 + 2·pad`.
+///
+/// Lowered onto the blocked matmul core through packed patches (im2col).
+/// Per sample, the receptive fields are packed into `col[p, pix]` with
+/// `p = (ic, ky, kx)` ascending and `+0.0` at padded taps; the output rows
+/// are prefilled with their bias, then `out[oc, ·] += W[oc, ·] · col`. The
+/// weight gradient runs the same core as `grad_w[oc, ·] += g[oc, ·] ·
+/// colᵀ`, samples and pixels ascending, and skips `g == 0` like the
+/// reference. Every element thus accumulates bias (or its running
+/// gradient) first and then its products in the order of the frozen
+/// direct loops, [`conv_forward_naive`] and [`conv_backward_naive`]; the
+/// two agree bit for bit (proptest-pinned). The input gradient, which
+/// only a layer with a layer before it needs, walks output rows directly
+/// (see `conv_input_grad`).
+///
+/// # Signed zeros
+///
+/// The lowering adds `±0.0` products the reference never forms (padded
+/// taps) and skips the `x · 0.0` products the reference forms for zero
+/// weights. Adding `±0.0` changes a sum only when the sum is exactly
+/// `-0.0`, and in round-to-nearest a sum that starts at `+0.0` or at a
+/// nonzero value can never become `-0.0`. So a forward output can differ
+/// from the reference only in the sign of a zero, and only under a `-0.0`
+/// bias; gradients, which start at `+0.0`, never differ. The identity
+/// also assumes finite inputs and weights (`inf · 0.0` is NaN on whichever
+/// side forms it).
 pub struct Conv2d {
     w: Tensor,
     b: Vec<f32>,
     grad_w: Tensor,
     grad_b: Vec<f32>,
     cached_input: Option<Tensor>,
+    /// One sample's packed patches `[in_c·k·k, h'·w']`, reused across
+    /// samples and calls so the hot path allocates nothing per batch.
+    col: Vec<f32>,
+    /// `col` transposed, `[h'·w', in_c·k·k]`: the weight-gradient rhs.
+    col_t: Vec<f32>,
     in_c: usize,
     out_c: usize,
     k: usize,
@@ -451,6 +486,8 @@ impl Conv2d {
             grad_w: Tensor::zeros(vec![out_c, in_c, k, k]),
             grad_b: vec![0.0; out_c],
             cached_input: None,
+            col: Vec::new(),
+            col_t: Vec::new(),
             in_c,
             out_c,
             k,
@@ -463,20 +500,30 @@ impl Conv2d {
     }
 }
 
-/// The direct-convolution forward loops, shared by the allocating and
-/// arena paths: `out[b, oc, oy, ox] = b[oc] + Σ x·w` over the valid
-/// receptive field. Writes every output element.
-#[allow(clippy::too_many_arguments)]
-fn conv_forward_loops(
-    x: &[f32],
-    wdat: &[f32],
-    bias: &[f32],
-    odat: &mut [f32],
-    (batch, in_c, h, w): (usize, usize, usize, usize),
-    (out_c, oh, ow): (usize, usize, usize),
-    k: usize,
-    pad: isize,
-) {
+/// `(batch, in_c, h, w, out_c, k)` of a conv input `[batch, in_c, h, w]`
+/// and kernel `[out_c, in_c, k, k]`.
+fn conv_dims(input: &Tensor, weight: &Tensor) -> (usize, usize, usize, usize, usize, usize) {
+    let (s, ws) = (input.shape(), weight.shape());
+    assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
+    assert_eq!(ws.len(), 4, "conv kernel is [out_c, in_c, k, k]");
+    assert_eq!(s[1], ws[1], "channel mismatch");
+    assert_eq!(ws[2], ws[3], "conv kernel must be square");
+    (s[0], s[1], s[2], s[3], ws[0], ws[2])
+}
+
+/// The frozen direct-loop forward that [`Conv2d`]'s lowered forward is
+/// proven bit-identical to (see its signed-zero note): `out[b, oc, oy, ox]
+/// = bias[oc] + Σ x·w` over the valid receptive field, `ic → ky → kx`
+/// ascending, with a bounds check per tap. `input` is `[batch, in_c, h,
+/// w]`, `weight` is `[out_c, in_c, k, k]`, stride 1, zero padding `pad`.
+/// Kept for the tests and the conv microbench.
+pub fn conv_forward_naive(input: &Tensor, weight: &Tensor, bias: &[f32], pad: usize) -> Tensor {
+    let (batch, in_c, h, w, out_c, k) = conv_dims(input, weight);
+    let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+    let (x, wdat) = (input.data(), weight.data());
+    let pad = pad as isize;
+    let mut out = Tensor::zeros(vec![batch, out_c, oh, ow]);
+    let odat = out.data_mut();
     for b in 0..batch {
         for oc in 0..out_c {
             for oy in 0..oh {
@@ -504,23 +551,28 @@ fn conv_forward_loops(
             }
         }
     }
+    out
 }
 
-/// The direct-convolution backward loops, shared by the allocating and
-/// arena paths. Accumulates into `gw`/`gb` and the zero-initialized `gi`.
-#[allow(clippy::too_many_arguments)]
-fn conv_backward_loops(
-    x: &[f32],
-    g: &[f32],
-    wdat: &[f32],
-    gw: &mut [f32],
-    gb: &mut [f32],
-    gi: &mut [f32],
-    (batch, in_c, h, w): (usize, usize, usize, usize),
-    (out_c, oh, ow): (usize, usize, usize),
-    k: usize,
-    pad: isize,
-) {
+/// The frozen direct-loop backward that [`Conv2d`]'s lowered backward is
+/// proven bit-identical to. Accumulates into `grad_w` (`[out_c, in_c, k,
+/// k]`, flat) and `grad_b`, skipping zero entries of `grad_out`, and
+/// returns the input gradient. Shapes as [`conv_forward_naive`].
+pub fn conv_backward_naive(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    pad: usize,
+    grad_w: &mut [f32],
+    grad_b: &mut [f32],
+) -> Tensor {
+    let (batch, in_c, h, w, out_c, k) = conv_dims(input, weight);
+    let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+    assert_eq!(grad_out.shape(), &[batch, out_c, oh, ow]);
+    let (x, g, wdat) = (input.data(), grad_out.data(), weight.data());
+    let pad = pad as isize;
+    let mut grad_in = Tensor::zeros(input.shape().to_vec());
+    let gi = grad_in.data_mut();
     for b in 0..batch {
         for oc in 0..out_c {
             for oy in 0..oh {
@@ -529,7 +581,7 @@ fn conv_backward_loops(
                     if go == 0.0 {
                         continue;
                     }
-                    gb[oc] += go;
+                    grad_b[oc] += go;
                     for ic in 0..in_c {
                         for ky in 0..k {
                             let iy = oy as isize + ky as isize - pad;
@@ -543,8 +595,98 @@ fn conv_backward_loops(
                                 }
                                 let xi = ((b * in_c + ic) * h + iy as usize) * w + ix as usize;
                                 let wi = ((oc * in_c + ic) * k + ky) * k + kx;
-                                gw[wi] += x[xi] * go;
+                                grad_w[wi] += x[xi] * go;
                                 gi[xi] += wdat[wi] * go;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    grad_in
+}
+
+/// The output positions `o < n_out` whose tap `t` reads inside an input
+/// of length `n_in`, i.e. `0 ≤ o + t − pad < n_in`.
+fn tap_range(n_in: usize, n_out: usize, t: usize, pad: usize) -> Range<usize> {
+    let lo = pad.saturating_sub(t).min(n_out);
+    let hi = (n_in + pad).saturating_sub(t).clamp(lo, n_out);
+    lo..hi
+}
+
+/// Packs one sample `x: [in_c, h, w]` into `col: [in_c·k·k, oh·ow]`: row
+/// `p = (ic, ky, kx)` holds the input value each output pixel reads
+/// through that tap, `+0.0` where the tap lands in the padding.
+fn pack_patches(
+    x: &[f32],
+    col: &mut [f32],
+    (h, w): (usize, usize),
+    (oh, ow): (usize, usize),
+    k: usize,
+    pad: usize,
+) {
+    let mut rows = col.chunks_exact_mut(oh * ow);
+    for plane in x.chunks_exact(h * w) {
+        for ky in 0..k {
+            let ys = tap_range(h, oh, ky, pad);
+            for kx in 0..k {
+                let xs = tap_range(w, ow, kx, pad);
+                let row = rows.next().expect("col holds in_c·k·k rows");
+                for (oy, dst) in row.chunks_exact_mut(ow).enumerate() {
+                    if !ys.contains(&oy) || xs.is_empty() {
+                        dst.fill(0.0);
+                        continue;
+                    }
+                    let src = &plane[(oy + ky - pad) * w + xs.start + kx - pad..][..xs.len()];
+                    dst[..xs.start].fill(0.0);
+                    dst[xs.clone()].copy_from_slice(src);
+                    dst[xs.end..].fill(0.0);
+                }
+            }
+        }
+    }
+}
+
+/// Accumulates the input gradient `gi[b, ic, iy, ix] += W[oc, ic, ky, kx]
+/// · g[b, oc, oy, ox]` over every tap reading `(iy, ix)`, one output-row
+/// span per tap instead of a bounds check per tap. Walking the taps
+/// `(ky, kx)` descending visits each `gi` element's products in the
+/// reference's order: `oc`, then `(oy, ox)` ascending. The reference's
+/// zero-`g` skip needs no mirror: `gi` starts at `+0.0`, so it never holds
+/// `-0.0`, and adding `W · 0.0 = ±0.0` leaves it unchanged.
+fn conv_input_grad(
+    g: &[f32],
+    wdat: &[f32],
+    gi: &mut [f32],
+    (in_c, h, w): (usize, usize, usize),
+    (out_c, oh, ow): (usize, usize, usize),
+    k: usize,
+    pad: usize,
+) {
+    for (g_b, gi_b) in g
+        .chunks_exact(out_c * oh * ow)
+        .zip(gi.chunks_exact_mut(in_c * h * w))
+    {
+        for (g_oc, w_oc) in g_b
+            .chunks_exact(oh * ow)
+            .zip(wdat.chunks_exact(in_c * k * k))
+        {
+            for (gi_ic, w_ic) in gi_b.chunks_exact_mut(h * w).zip(w_oc.chunks_exact(k * k)) {
+                for ky in (0..k).rev() {
+                    let ys = tap_range(h, oh, ky, pad);
+                    for kx in (0..k).rev() {
+                        let xs = tap_range(w, ow, kx, pad);
+                        if xs.is_empty() {
+                            continue;
+                        }
+                        let wv = w_ic[ky * k + kx];
+                        for oy in ys.clone() {
+                            let src = &g_oc[oy * ow..][xs.clone()];
+                            let dst =
+                                &mut gi_ic[(oy + ky - pad) * w + xs.start + kx - pad..][..xs.len()];
+                            for (a, &go) in dst.iter_mut().zip(src) {
+                                *a += wv * go;
                             }
                         }
                     }
@@ -564,26 +706,30 @@ impl Conv2d {
         }
     }
 
-    /// Runs the forward loops into a caller-provided output tensor.
-    fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
+    /// The lowered forward into a caller-provided output tensor: per
+    /// sample, pack patches, prefill the bias, `out += W · col`.
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
         let s = input.shape();
-        let (batch, h, w) = (s[0], s[2], s[3]);
+        let (h, w) = (s[2], s[3]);
         let (oh, ow) = self.out_hw(h, w);
-        conv_forward_loops(
-            input.data(),
-            self.w.data(),
-            &self.b,
-            out.data_mut(),
-            (batch, self.in_c, h, w),
-            (self.out_c, oh, ow),
-            self.k,
-            self.pad as isize,
-        );
+        let (taps, pixels) = (self.in_c * self.k * self.k, oh * ow);
+        self.col.resize(taps * pixels, 0.0);
+        for (x, o) in input
+            .data()
+            .chunks_exact(self.in_c * h * w)
+            .zip(out.data_mut().chunks_exact_mut(self.out_c * pixels))
+        {
+            pack_patches(x, &mut self.col, (h, w), (oh, ow), self.k, self.pad);
+            for (row, &bias) in o.chunks_exact_mut(pixels).zip(&self.b) {
+                row.fill(bias);
+            }
+            matmul_acc(self.w.data(), &self.col, o, (self.out_c, taps, pixels));
+        }
     }
 
-    /// Runs the backward loops into a caller-provided (zero-filled)
-    /// input-gradient tensor.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+    /// The lowered parameter gradients: per sample, `grad_b` in the
+    /// reference's order and `grad_w += g · colᵀ`.
+    fn accumulate_grads(&mut self, grad_out: &Tensor) {
         let input = self
             .cached_input
             .as_ref()
@@ -592,17 +738,51 @@ impl Conv2d {
         let (batch, h, w) = (s[0], s[2], s[3]);
         let (oh, ow) = self.out_hw(h, w);
         assert_eq!(grad_out.shape(), &[batch, self.out_c, oh, ow]);
-        conv_backward_loops(
-            input.data(),
+        let (taps, pixels) = (self.in_c * self.k * self.k, oh * ow);
+        self.col.resize(taps * pixels, 0.0);
+        self.col_t.resize(taps * pixels, 0.0);
+        for (x, g) in input
+            .data()
+            .chunks_exact(self.in_c * h * w)
+            .zip(grad_out.data().chunks_exact(self.out_c * pixels))
+        {
+            for (gb, g_oc) in self.grad_b.iter_mut().zip(g.chunks_exact(pixels)) {
+                for &go in g_oc {
+                    if go != 0.0 {
+                        *gb += go;
+                    }
+                }
+            }
+            pack_patches(x, &mut self.col, (h, w), (oh, ow), self.k, self.pad);
+            for (p, row) in self.col.chunks_exact(pixels).enumerate() {
+                for (pix, &v) in row.iter().enumerate() {
+                    self.col_t[pix * taps + p] = v;
+                }
+            }
+            matmul_acc(
+                g,
+                &self.col_t,
+                self.grad_w.data_mut(),
+                (self.out_c, pixels, taps),
+            );
+        }
+    }
+
+    /// Full backward into a caller-provided (zero-filled) input-gradient
+    /// tensor.
+    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+        self.accumulate_grads(grad_out);
+        let s = grad_in.shape();
+        let (h, w) = (s[2], s[3]);
+        let (oh, ow) = self.out_hw(h, w);
+        conv_input_grad(
             grad_out.data(),
             self.w.data(),
-            self.grad_w.data_mut(),
-            &mut self.grad_b,
             grad_in.data_mut(),
-            (batch, self.in_c, h, w),
+            (self.in_c, h, w),
             (self.out_c, oh, ow),
             self.k,
-            self.pad as isize,
+            self.pad,
         );
     }
 }
@@ -657,6 +837,10 @@ impl Layer for Conv2d {
         };
         self.backward_into(grad_out, &mut grad_in);
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor, _arena: &mut Arena) {
+        self.accumulate_grads(grad_out);
     }
 
     fn params(&self) -> Vec<&[f32]> {
@@ -865,6 +1049,44 @@ mod tests {
             Conv2d::new(2, 3, 3, 1, &mut rng()),
             input,
         );
+    }
+
+    /// The one documented divergence of the conv lowering from its frozen
+    /// reference: the sign of a zero output, reachable only through a
+    /// `-0.0` bias. Two single-output cases reach it from both sides: a
+    /// zero weight (the reference adds `1.0 · 0.0`, the lowering skips it)
+    /// and padded taps (the lowering adds `+0.0` products the reference
+    /// never forms, before the in-bounds `-0.0` one).
+    #[test]
+    fn conv_signed_zero_divergence_needs_a_negative_zero_bias() {
+        let cases = [
+            // (k, pad, weight, input): 1×1 zero weight; 3×3 ones over a
+            // padded 1×1 input of -0.0.
+            (1, 0, vec![0.0], vec![1.0]),
+            (3, 1, vec![1.0; 9], vec![-0.0]),
+        ];
+        for (k, pad, weight, x) in cases {
+            let input = Tensor::from_vec(vec![1, 1, 1, 1], x);
+            let w = Tensor::from_vec(vec![1, 1, k, k], weight);
+            let mut layer = Conv2d::new(1, 1, k, pad, &mut rng());
+            layer.params_mut()[0].copy_from_slice(w.data());
+            for bias in [0.0f32, -0.0] {
+                layer.params_mut()[1][0] = bias;
+                let lowered = layer.forward(&input, false).data()[0];
+                let naive = conv_forward_naive(&input, &w, &[bias], pad).data()[0];
+                assert_eq!(lowered, naive, "values agree");
+                assert_eq!(lowered, 0.0);
+                if bias.is_sign_positive() {
+                    assert_eq!(lowered.to_bits(), naive.to_bits(), "k={k}: +0.0 bias");
+                } else {
+                    assert_ne!(
+                        lowered.is_sign_negative(),
+                        naive.is_sign_negative(),
+                        "k={k}: only a -0.0 bias flips the zero's sign"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

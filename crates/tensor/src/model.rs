@@ -139,7 +139,10 @@ impl Sequential {
     /// loss.
     ///
     /// Runs entirely on the model's arena — after the first batch at a
-    /// given shape, the whole step performs zero heap allocations.
+    /// given shape, the whole step performs zero heap allocations. The
+    /// first layer runs [`Layer::backward_params`], so its unread input
+    /// gradient is never computed; the gradients left in the layers are
+    /// bit-identical to a full [`Sequential::backward`].
     ///
     /// # Panics
     ///
@@ -163,10 +166,15 @@ impl Sequential {
             scratch_exps,
         );
         arena.recycle(logits);
-        for layer in layers.iter_mut().rev() {
-            let next = layer.backward_arena(&grad, arena);
-            arena.recycle(grad);
-            grad = next;
+        if let Some((first, rest)) = layers.split_first_mut() {
+            for layer in rest.iter_mut().rev() {
+                let next = layer.backward_arena(&grad, arena);
+                arena.recycle(grad);
+                grad = next;
+            }
+            // Nothing reads the first layer's input gradient: accumulate
+            // its parameter gradients only.
+            first.backward_params(&grad, arena);
         }
         arena.recycle(grad);
         loss
@@ -317,29 +325,52 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// A deterministic `[batch, 3, 8, 8]` image batch with 10 classes,
+    /// exact zeros included, for the small CNN.
+    fn cnn_batch() -> (Tensor, Vec<usize>) {
+        let n = 6 * 3 * 8 * 8;
+        let xs = (0..n)
+            .map(|i| {
+                if i % 5 == 0 {
+                    0.0
+                } else {
+                    ((i as f32) * 0.37).sin()
+                }
+            })
+            .collect();
+        (Tensor::from_vec(vec![6, 3, 8, 8], xs), (0..6).collect())
+    }
+
     #[test]
     fn train_batch_matches_unpooled_forward_backward_bitwise() {
         use crate::loss::softmax_cross_entropy;
-        // Same seed → identical models; one trains through the arena path,
-        // the other through the allocating forward/backward. Losses and
-        // gradients must agree bit for bit across repeated batches.
-        let mut pooled = tiny_mlp(7);
-        let mut plain = tiny_mlp(7);
-        let (x, y) = toy_batch();
-        for _ in 0..3 {
-            let loss = pooled.train_batch(&x, &y);
+        use crate::zoo::ModelSpec;
+        // Same seed → identical models; one trains through the arena path
+        // (which skips the first layer's input gradient), the other through
+        // the allocating full forward/backward. Losses and gradients must
+        // agree bit for bit across repeated batches, for a Dense-first and
+        // a Conv2d-first stack.
+        let cnn = ModelSpec::small_cnn(10);
+        let cases = [
+            (tiny_mlp(7), tiny_mlp(7), toy_batch()),
+            (cnn.build(7), cnn.build(7), cnn_batch()),
+        ];
+        for (mut pooled, mut plain, (x, y)) in cases {
+            for _ in 0..3 {
+                let loss = pooled.train_batch(&x, &y);
 
-            plain.zero_grads();
-            let logits = plain.forward(&x, true);
-            let out = softmax_cross_entropy(&logits, &y);
-            plain.backward(&out.grad);
+                plain.zero_grads();
+                let logits = plain.forward(&x, true);
+                let out = softmax_cross_entropy(&logits, &y);
+                plain.backward(&out.grad);
 
-            assert_eq!(loss.to_bits(), out.loss.to_bits());
-            let gp = pooled.flat_grads();
-            let gq = plain.flat_grads();
-            assert_eq!(gp.len(), gq.len());
-            for (a, b) in gp.iter().zip(&gq) {
-                assert_eq!(a.to_bits(), b.to_bits());
+                assert_eq!(loss.to_bits(), out.loss.to_bits());
+                let gp = pooled.flat_grads();
+                let gq = plain.flat_grads();
+                assert_eq!(gp.len(), gq.len());
+                for (a, b) in gp.iter().zip(&gq) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
             }
         }
     }

@@ -35,6 +35,44 @@ fn tile_kernel(lvals: &[f32], panel: &[f32], stride: usize, acc: &mut [f32]) {
     }
 }
 
+/// The accumulating core of [`Tensor::matmul_into`]: `c += a · b` with
+/// row-major `a: [m, k]`, `b: [k, n]`, `c: [m, n]`. `c` is added to, not
+/// zeroed, so a caller can prefill it (the conv lowering starts each output
+/// row at its bias) or accumulate across calls (the conv weight gradient).
+///
+/// Blocked over the inner dimension: for each `KB`-slab of `k`, every row
+/// of `c` takes that slab's contribution before the next slab starts, so
+/// the slab's `KB × n` panel of `b` is read from memory once and served
+/// from cache for all `m` rows. Slabs ascend and the full-width inner loop
+/// is the naive kernel's, so each element of `c` sees its own starting
+/// value followed by the products over ascending `p`, exact-zero `a`
+/// entries skipped, no FMA contraction.
+pub(crate) fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], (m, k, n): (usize, usize, usize)) {
+    assert!(
+        a.len() == m * k && b.len() == k * n && c.len() == m * n,
+        "matmul_acc operands do not match [{m}, {k}] · [{k}, {n}]"
+    );
+    let mut pb = 0;
+    while pb < k {
+        let kb = KB.min(k - pb);
+        for i in 0..m {
+            let lhs_vals = &a[i * k + pb..i * k + pb + kb];
+            let out_row = &mut c[i * n..(i + 1) * n];
+            for (pp, &l) in lhs_vals.iter().enumerate() {
+                if l == 0.0 {
+                    continue;
+                }
+                let p = pb + pp;
+                let rhs_row = &b[p * n..(p + 1) * n];
+                for (o, &r) in out_row.iter_mut().zip(rhs_row) {
+                    *o += l * r;
+                }
+            }
+        }
+        pb += kb;
+    }
+}
+
 /// A dense row-major tensor of `f32`.
 ///
 /// ```
@@ -170,14 +208,12 @@ impl Tensor {
     /// an arena buffer), avoiding the result allocation. The output is
     /// overwritten, not accumulated into.
     ///
-    /// Cache-blocked over the inner dimension: for each `KB`-slab of `k`,
-    /// every output row accumulates that slab's contribution before the
-    /// next slab starts, so the slab's `KB × n` rhs panel is read from
-    /// memory once and served from cache for all `m` rows — the naive walk
-    /// re-streams the entire `k × n` rhs per output row. Slabs ascend and
-    /// the full-width inner loop is the naive kernel's, so each output
-    /// element sees the exact same p-ascending f32 add sequence
-    /// (proptest-pinned); when `k ≤ KB` the loop *is* the naive kernel.
+    /// Zero-fills `out`, then runs the k-slab-blocked accumulating core
+    /// (`matmul_acc`): one rhs panel is read from memory once per slab
+    /// instead of once per output row as in the naive walk. Each output
+    /// element sees the exact same p-ascending f32 add sequence as
+    /// [`Tensor::matmul_naive`] (proptest-pinned); when `k ≤ KB` the loop
+    /// *is* the naive kernel.
     ///
     /// # Panics
     ///
@@ -190,25 +226,7 @@ impl Tensor {
         assert_eq!(k, k2, "inner dimensions must agree: {k} vs {k2}");
         assert_eq!(out.shape, [m, n], "output must be [{m}, {n}]");
         out.data.fill(0.0);
-        let mut pb = 0;
-        while pb < k {
-            let kb = KB.min(k - pb);
-            for i in 0..m {
-                let lhs_vals = &self.data[i * k + pb..i * k + pb + kb];
-                let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (pp, &l) in lhs_vals.iter().enumerate() {
-                    if l == 0.0 {
-                        continue;
-                    }
-                    let p = pb + pp;
-                    let rhs_row = &rhs.data[p * n..(p + 1) * n];
-                    for (o, &r) in out_row.iter_mut().zip(rhs_row) {
-                        *o += l * r;
-                    }
-                }
-            }
-            pb += kb;
-        }
+        matmul_acc(&self.data, &rhs.data, &mut out.data, (m, k, n));
     }
 
     /// The reference triple-loop `[m, k] · [k, n]` kernel the blocked

@@ -140,6 +140,86 @@ proptest! {
 }
 
 proptest! {
+    /// The lowered `Conv2d` (packed patches over the blocked matmul core)
+    /// reproduces the frozen direct loops bit for bit: the forward output,
+    /// `grad_w` and `grad_b` accumulated over two batches, and the input
+    /// gradient. Kernels 1/3/5 with every padding up to `k/2`, 1–6 samples,
+    /// 1–4 channels each way, `h`/`w` from `k − 2·pad` to 9, and zero
+    /// densities 0, ½ or 1 on each of `x`, `W` and `grad_out`.
+    #[test]
+    fn conv_lowering_is_bit_identical_to_naive(
+        k_pick in 0usize..3,
+        pad_pick in 0usize..3,
+        batch in 1usize..=6,
+        in_c in 1usize..=4,
+        out_c in 1usize..=4,
+        h_pick in 0usize..10,
+        w_pick in 0usize..10,
+        zero_x in 0u64..3,
+        zero_w in 0u64..3,
+        zero_g in 0u64..3,
+        seed in any::<u64>(),
+    ) {
+        use rand::SeedableRng;
+        use unifyfl_tensor::arena::Arena;
+        use unifyfl_tensor::layers::{conv_backward_naive, conv_forward_naive, Conv2d, Layer};
+
+        let k = [1usize, 3, 5][k_pick];
+        let pad = pad_pick % (k / 2 + 1);
+        let min_hw = k - 2 * pad;
+        let h = min_hw + h_pick % (10 - min_hw);
+        let w = min_hw + w_pick % (10 - min_hw);
+        let (oh, ow) = (h + 2 * pad + 1 - k, w + 2 * pad + 1 - k);
+        // `zero` ∈ {0, 1, 2}: no zeros, about half zeros, all zeros.
+        let fill = |dims: &[usize], salt: u64, zero: u64| {
+            let count: usize = dims.iter().product();
+            let data = (0..count)
+                .map(|i| {
+                    let h = (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let h = h ^ (h >> 29);
+                    if zero == 2 || (zero == 1 && h & 1 == 0) {
+                        0.0
+                    } else {
+                        ((h >> 8) % 2000) as f32 / 250.0 - 3.998
+                    }
+                })
+                .collect();
+            Tensor::from_vec(dims.to_vec(), data)
+        };
+        let assert_bits = |lowered: &[f32], naive: &[f32], what: &str| {
+            assert_eq!(lowered.len(), naive.len(), "{what} length");
+            for (i, (a, b)) in lowered.iter().zip(naive).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "{what}[{i}]: {a} vs {b}");
+            }
+        };
+
+        let weight = fill(&[out_c, in_c, k, k], seed, zero_w);
+        let bias = fill(&[out_c], seed ^ 0xB1A5, 0).into_vec();
+        let mut conv = Conv2d::new(in_c, out_c, k, pad, &mut rand::rngs::StdRng::seed_from_u64(seed));
+        conv.params_mut()[0].copy_from_slice(weight.data());
+        conv.params_mut()[1].copy_from_slice(&bias);
+        conv.zero_grads();
+        let mut grad_w = vec![0.0f32; weight.len()];
+        let mut grad_b = vec![0.0f32; out_c];
+        let mut arena = Arena::new();
+        for step in 0..2u64 {
+            let x = fill(&[batch, in_c, h, w], seed ^ (0x1111 * (step + 1)), zero_x);
+            let g = fill(&[batch, out_c, oh, ow], seed ^ (0x2222 * (step + 1)), zero_g);
+
+            let out = conv.forward_arena(&x, true, &mut arena);
+            assert_bits(out.data(), conv_forward_naive(&x, &weight, &bias, pad).data(), "out");
+            let gin = conv.backward_arena(&g, &mut arena);
+            let gin_naive = conv_backward_naive(&x, &weight, &g, pad, &mut grad_w, &mut grad_b);
+            assert_bits(gin.data(), gin_naive.data(), "grad_in");
+            assert_bits(conv.grads()[0], &grad_w, "grad_w");
+            assert_bits(conv.grads()[1], &grad_b, "grad_b");
+            arena.recycle(gin);
+            arena.recycle(out);
+        }
+    }
+}
+
+proptest! {
     /// Delta encode → decode is exactly the identity on arbitrary finite
     /// weight tensors, bit for bit, for every base relationship: related
     /// (small drift), unrelated, quantized, or length-mismatched.
