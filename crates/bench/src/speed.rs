@@ -280,8 +280,10 @@ pub fn conv_kernel_speedup() -> f64 {
     let x = microbench_images([BATCH, in_c, h, w]);
     let g = microbench_images([BATCH, conv_channels, h, w]);
     let mut conv = Conv2d::new(in_c, conv_channels, K, PAD, &mut StdRng::seed_from_u64(7));
-    let weight = Tensor::from_vec(vec![conv_channels, in_c, K, K], conv.params()[0].to_vec());
-    let bias = conv.params()[1].to_vec();
+    let mut params = Vec::new();
+    conv.for_each_param(&mut |p| params.push(p.to_vec()));
+    let [weight, bias] = <[Vec<f32>; 2]>::try_from(params).expect("conv holds weight and bias");
+    let weight = Tensor::from_vec(vec![conv_channels, in_c, K, K], weight);
     let mut arena = Arena::new();
     let lowered = best_of(&mut || {
         for _ in 0..STEPS {

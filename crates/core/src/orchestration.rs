@@ -35,7 +35,6 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use serde::{Deserialize, Serialize};
 use unifyfl_chain::orchestrator::{calls, OrchestrationMode};
 use unifyfl_chain::types::Address;
 use unifyfl_data::WorkloadConfig;
@@ -54,7 +53,7 @@ use crate::step::{
 };
 
 /// Orchestration mode selector (maps onto the contract's mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Phase-locked rounds.
     Sync,

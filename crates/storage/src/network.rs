@@ -50,13 +50,11 @@
 //! resident storage.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use unifyfl_sim::SimDuration;
 
 use crate::blockstore::BlockStore;
@@ -119,7 +117,7 @@ const DHT_LOOKUP_COST: SimDuration = SimDuration::from_millis(20);
 /// and again on fallback; dedup-skipped blocks roll nothing), so chaos
 /// outcomes legitimately diverge between configurations — same-seed
 /// *reproducibility* within one configuration always holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferConfig {
     /// Skip transferring blocks already present in the local blockstore.
     pub dedup: bool,
@@ -153,7 +151,7 @@ impl TransferConfig {
 }
 
 /// Cumulative accounting of the transfer layer, fabric-wide.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Bytes a naive fetcher would have moved (full DAG size of every
     /// remotely-served fetch).
@@ -315,7 +313,7 @@ pub struct StorageFaults {
 /// failed too and the fetch was abandoned), so
 /// `fetch_retries == fetch_recoveries + fetch_permanent_failures` once all
 /// outcomes are recorded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageFaultStats {
     /// Whole fetches that failed at the DHT lookup.
     pub fetch_failures: u64,
@@ -405,6 +403,13 @@ impl Default for IpfsNetwork {
 }
 
 impl IpfsNetwork {
+    /// The shared state. A panic while another handle held the lock leaves
+    /// the state as that handle wrote it; the fabric keeps serving it
+    /// rather than propagating the poison.
+    fn state(&self) -> MutexGuard<'_, NetworkState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates an empty fabric with the default [`TransferConfig`].
     pub fn new() -> Self {
         IpfsNetwork {
@@ -426,7 +431,7 @@ impl IpfsNetwork {
     /// the transfer accounting is reset, so this is meant to be called at
     /// fabric setup, before traffic flows.
     pub fn configure_transfer(&self, config: TransferConfig, seed: u64) {
-        let mut st = self.inner.lock();
+        let mut st = self.state();
         st.transfer = config;
         st.transfer_seed = seed;
         st.stats = TransferStats::default();
@@ -439,13 +444,13 @@ impl IpfsNetwork {
 
     /// The active transfer configuration.
     pub fn transfer_config(&self) -> TransferConfig {
-        self.inner.lock().transfer
+        self.state().transfer
     }
 
     /// Snapshot of the transfer accounting (the resident-bytes gauge is
     /// sampled at call time).
     pub fn transfer_stats(&self) -> TransferStats {
-        let st = self.inner.lock();
+        let st = self.state();
         let mut stats = st.stats;
         stats.cache_resident_bytes = st.nodes.iter().map(|n| n.cache.resident).sum();
         stats
@@ -461,7 +466,7 @@ impl IpfsNetwork {
     /// never the bytes a caller receives: every block is still verified
     /// against its CID.
     pub fn install_topology(&self, config: GossipConfig, topology: GossipTopology) {
-        let mut st = self.inner.lock();
+        let mut st = self.state();
         assert!(
             topology.len() >= st.nodes.len(),
             "topology covers {} nodes but the fabric has {}",
@@ -474,12 +479,12 @@ impl IpfsNetwork {
     /// Removes the gossip overlay, returning the fabric to flat
     /// point-to-point routing.
     pub fn clear_topology(&self) {
-        self.inner.lock().gossip = None;
+        self.state().gossip = None;
     }
 
     /// The installed overlay's topology, if any.
     pub fn topology(&self) -> Option<GossipTopology> {
-        self.inner.lock().gossip.as_ref().map(|(_, t)| t.clone())
+        self.state().gossip.as_ref().map(|(_, t)| t.clone())
     }
 
     /// The heaviest per-node wire load: `max` over nodes of bytes
@@ -487,8 +492,7 @@ impl IpfsNetwork {
     /// exists to bound (flat routing concentrates it on whichever
     /// provider sorts first).
     pub fn max_node_wire_bytes(&self) -> u64 {
-        self.inner
-            .lock()
+        self.state()
             .nodes
             .iter()
             .map(|n| n.bytes_fetched + n.bytes_served + n.bytes_relayed)
@@ -498,26 +502,26 @@ impl IpfsNetwork {
 
     /// Installs (or replaces) the fabric's fault injector.
     pub fn install_faults(&self, faults: StorageFaults) {
-        self.inner.lock().faults = Some(faults);
+        self.state().faults = Some(faults);
     }
 
     /// Removes the fault injector, returning the fabric to fault-free
     /// operation.
     pub fn clear_faults(&self) {
-        self.inner.lock().faults = None;
+        self.state().faults = None;
     }
 
     /// Snapshot of the injected-fault accounting (`None` when no injector
     /// is installed).
     pub fn fault_stats(&self) -> Option<StorageFaultStats> {
-        self.inner.lock().faults.as_ref().map(|f| f.stats)
+        self.state().faults.as_ref().map(|f| f.stats)
     }
 
     /// Records a caller-level whole-fetch retry in the fault accounting (a
     /// no-op without an injector). Pair with
     /// [`IpfsNetwork::record_fetch_retry_outcome`] once the retry resolves.
     pub fn record_fetch_retry(&self) {
-        if let Some(f) = self.inner.lock().faults.as_mut() {
+        if let Some(f) = self.state().faults.as_mut() {
             f.stats.fetch_retries += 1;
         }
     }
@@ -526,7 +530,7 @@ impl IpfsNetwork {
     /// retried-then-succeeded fetch, `false` a permanent failure (the
     /// caller gave up). A no-op without an injector.
     pub fn record_fetch_retry_outcome(&self, recovered: bool) {
-        if let Some(f) = self.inner.lock().faults.as_mut() {
+        if let Some(f) = self.state().faults.as_mut() {
             if recovered {
                 f.stats.fetch_recoveries += 1;
             } else {
@@ -537,7 +541,7 @@ impl IpfsNetwork {
 
     /// Joins a new node with the given link profile, returning its handle.
     pub fn add_node(&self, link: LinkProfile) -> IpfsNode {
-        let mut st = self.inner.lock();
+        let mut st = self.state();
         let id = NodeId(st.nodes.len() as u32);
         let cache_seed = NetworkState::node_cache_seed(st.transfer_seed, id.0 as usize);
         let cache_bytes = st.transfer.cache_bytes;
@@ -557,13 +561,12 @@ impl IpfsNetwork {
 
     /// Number of nodes in the fabric.
     pub fn node_count(&self) -> usize {
-        self.inner.lock().nodes.len()
+        self.state().nodes.len()
     }
 
     /// Total bytes stored across all nodes (with duplication).
     pub fn total_bytes(&self) -> u64 {
-        self.inner
-            .lock()
+        self.state()
             .nodes
             .iter()
             .map(|n| n.store.total_bytes())
@@ -681,7 +684,7 @@ impl IpfsNode {
     /// [`IpfsNode::add`] with an explicit chunk size (for tests/benches).
     pub fn add_with_chunk_size(&self, data: &[u8], chunk_size: usize) -> AddReceipt {
         let file = chunk(data, chunk_size);
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         let id = self.id;
         let node = &mut st.nodes[id.0 as usize];
         for (_, leaf) in &file.leaves {
@@ -711,7 +714,7 @@ impl IpfsNode {
     /// [`IpfsError::NotFound`] if no provider has the content,
     /// [`IpfsError::Corrupt`] if verification fails.
     pub fn get(&self, cid: Cid) -> Result<GetReceipt, IpfsError> {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         Self::get_locked(&mut st, self.id, cid, FetchOpts::NORMAL)
     }
 
@@ -743,7 +746,7 @@ impl IpfsNode {
         delta: Cid,
         reconstruct: impl FnOnce(&[u8], &[u8]) -> Option<Vec<u8>>,
     ) -> Result<GetReceipt, IpfsError> {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         let st = &mut *st;
         let id = self.id;
 
@@ -1167,20 +1170,20 @@ impl IpfsNode {
 
     /// Pins a DAG so garbage collection keeps it.
     pub fn pin(&self, cid: Cid) {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         st.nodes[self.id.0 as usize].store.pin(cid);
     }
 
     /// Unpins a DAG.
     pub fn unpin(&self, cid: Cid) {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         st.nodes[self.id.0 as usize].store.unpin(cid);
     }
 
     /// Garbage-collects unpinned blocks, removing this node's provider
     /// records for content it no longer holds. Returns blocks removed.
     pub fn gc(&self) -> usize {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         let id = self.id;
         let removed = st.nodes[id.0 as usize].store.gc();
         // Withdraw provider records for vanished roots.
@@ -1201,7 +1204,7 @@ impl IpfsNode {
 
     /// True if this node holds the full DAG for `cid` locally.
     pub fn has_local(&self, cid: Cid) -> bool {
-        let st = self.network.inner.lock();
+        let st = self.network.state();
         Self::read_local(&st.nodes[self.id.0 as usize].store, cid)
             .ok()
             .flatten()
@@ -1210,7 +1213,7 @@ impl IpfsNode {
 
     /// Cumulative bytes fetched from remote providers.
     pub fn bytes_fetched(&self) -> u64 {
-        self.network.inner.lock().nodes[self.id.0 as usize].bytes_fetched
+        self.network.state().nodes[self.id.0 as usize].bytes_fetched
     }
 
     /// Cumulative bytes served to remote peers. Counts wire bytes, not
@@ -1219,17 +1222,17 @@ impl IpfsNode {
     /// than its length. A fetcher that retained the content answers later
     /// gets locally — repeat fetches add nothing here.
     pub fn bytes_served(&self) -> u64 {
-        self.network.inner.lock().nodes[self.id.0 as usize].bytes_served
+        self.network.state().nodes[self.id.0 as usize].bytes_served
     }
 
     /// Cumulative bytes forwarded for other nodes as an overlay relay.
     pub fn bytes_relayed(&self) -> u64 {
-        self.network.inner.lock().nodes[self.id.0 as usize].bytes_relayed
+        self.network.state().nodes[self.id.0 as usize].bytes_relayed
     }
 
     /// Total wire load this node carried: fetched + served + relayed.
     pub fn wire_bytes(&self) -> u64 {
-        let st = self.network.inner.lock();
+        let st = self.network.state();
         let node = &st.nodes[self.id.0 as usize];
         node.bytes_fetched + node.bytes_served + node.bytes_relayed
     }

@@ -209,7 +209,8 @@ pub fn delta_from_bytes(base: &[f32], bytes: &[u8]) -> Result<Vec<f32>, DeltaDec
 }
 
 fn decode_dense(count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
-    if payload.len() != count * 4 {
+    // The count is untrusted: `count * 4` may overflow.
+    if count.checked_mul(4) != Some(payload.len()) {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
     Ok(payload
@@ -493,6 +494,16 @@ mod tests {
         let bytes = delta_to_bytes(&base, &new);
         let err = delta_from_bytes(&base, &bytes[..bytes.len() - 1]).unwrap_err();
         assert_eq!(err, DeltaDecodeError::PayloadMismatch);
+        // A dense count whose byte size overflows (`4 · (2^62 + 1)` wraps
+        // to 4) must not be matched against a 4-byte payload.
+        let mut forged = MAGIC.to_vec();
+        forged.push(MODE_DENSE);
+        forged.extend_from_slice(&((1u64 << 62) + 1).to_le_bytes());
+        forged.extend_from_slice(&1.0f32.to_le_bytes());
+        assert_eq!(
+            delta_from_bytes(&[], &forged),
+            Err(DeltaDecodeError::PayloadMismatch)
+        );
     }
 
     #[test]

@@ -1,9 +1,14 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Each [`Layer`] caches whatever it needs during `forward(train=true)` and
-//! accumulates parameter gradients during `backward`. The [`Dense`] and
-//! [`Conv2d`] layers cover the paper's two model classes (the 62 K-param
-//! CNN for CIFAR-10 and the MLP proxy for VGG16).
+//! Every pass runs on a caller-owned [`Arena`]: a [`Layer`] takes its
+//! output (or input gradient) from the arena and hands it to the caller,
+//! who recycles it once the next layer has consumed it. A layer caches
+//! whatever it needs during `forward_arena(train = true)` and accumulates
+//! parameter gradients during `backward_arena`. Parameters and gradients
+//! are reached through visitors in one stable order, so flat-view
+//! extraction allocates nothing. The [`Dense`] and [`Conv2d`] layers cover
+//! the paper's two model classes (the 62 K-param CNN for CIFAR-10 and the
+//! MLP proxy for VGG16).
 
 use std::ops::Range;
 
@@ -15,41 +20,18 @@ use crate::tensor::{matmul_acc, Tensor};
 
 /// A differentiable layer.
 pub trait Layer: Send {
-    /// Forward pass. When `train` is true the layer caches activations
-    /// needed by [`Layer::backward`].
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Forward pass, serving the output from `arena`. When `train` is true
+    /// the layer caches the activations [`Layer::backward_arena`] needs.
+    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor;
 
     /// Backward pass: consumes the gradient w.r.t. this layer's output,
     /// accumulates parameter gradients, and returns the gradient w.r.t. the
-    /// input.
+    /// input, served from `arena`.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before a training-mode forward.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// [`Layer::forward`] serving the output (and refreshing any cached
-    /// activations) from `arena` instead of fresh allocations. Results are
-    /// bit-identical to the allocating path. The default delegates to
-    /// [`Layer::forward`], so external layer implementations keep working;
-    /// the built-in layers override it to allocate nothing per batch once
-    /// the arena has warmed up.
-    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
-        let _ = arena;
-        self.forward(input, train)
-    }
-
-    /// [`Layer::backward`] serving the returned input-gradient from
-    /// `arena`. Bit-identical to the allocating path; the default
-    /// delegates to [`Layer::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if called before a training-mode forward.
-    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let _ = arena;
-        self.backward(grad_out)
-    }
+    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor;
 
     /// Accumulates the parameter gradients for `grad_out` exactly as
     /// [`Layer::backward_arena`] does, but produces no input gradient: a
@@ -65,44 +47,18 @@ pub trait Layer: Send {
         arena.recycle(grad_in);
     }
 
-    /// Flattened views of the parameters, in a stable order.
-    fn params(&self) -> Vec<&[f32]>;
-
-    /// Mutable flattened views of the parameters, same order as
-    /// [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut [f32]>;
-
-    /// Flattened views of the accumulated gradients, same order.
-    fn grads(&self) -> Vec<&[f32]>;
-
     /// Resets accumulated gradients to zero.
     fn zero_grads(&mut self);
 
-    /// Visits every parameter slice in [`Layer::params`] order without
-    /// allocating. The default delegates to [`Layer::params`], which is
-    /// already allocation-free for parameter-less layers (an empty `Vec`
-    /// never touches the heap); layers that *hold* parameters override it
-    /// with direct slice visits so the training hot loop's flat-view
-    /// extraction stays heap-silent (gated by the bench allocation probe).
-    fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
-        for p in self.params() {
-            f(p);
-        }
-    }
+    /// Visits every parameter slice, in a stable order.
+    fn for_each_param(&self, f: &mut dyn FnMut(&[f32]));
 
     /// Mutable counterpart of [`Layer::for_each_param`], same order.
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        for p in self.params_mut() {
-            f(p);
-        }
-    }
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32]));
 
-    /// Gradient counterpart of [`Layer::for_each_param`], same order.
-    fn for_each_grad(&self, f: &mut dyn FnMut(&[f32])) {
-        for g in self.grads() {
-            f(g);
-        }
-    }
+    /// Visits every accumulated-gradient slice, in
+    /// [`Layer::for_each_param`] order.
+    fn for_each_grad(&self, f: &mut dyn FnMut(&[f32]));
 
     /// Total trainable parameter count.
     fn param_count(&self) -> usize {
@@ -184,7 +140,7 @@ impl Dense {
     }
 
     /// `grad_w += xᵀ · g`, `grad_b += Σ_batch g`. The `xᵀ · g` product is
-    /// read in place (`matmul_tn`, no transposed copy) into the reused
+    /// read in place (`matmul_tn_into`, no transposed copy) into the reused
     /// scratch; it cannot accumulate straight into `grad_w`, since that
     /// would change the f32 add order against the reference formulation.
     fn accumulate_grads(&mut self, grad_out: &Tensor) {
@@ -203,17 +159,6 @@ impl Dense {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "dense expects [batch, features]");
-        assert_eq!(input.shape()[1], self.in_dim, "input dim mismatch");
-        let mut out = input.matmul(&self.w);
-        self.add_bias(&mut out);
-        if train {
-            self.cache_input(input);
-        }
-        out
-    }
-
     fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
         assert_eq!(input.shape().len(), 2, "dense expects [batch, features]");
         assert_eq!(input.shape()[1], self.in_dim, "input dim mismatch");
@@ -226,11 +171,6 @@ impl Layer for Dense {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.accumulate_grads(grad_out);
-        grad_out.matmul_nt(&self.w)
-    }
-
     fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         self.accumulate_grads(grad_out);
         let mut gin = arena.take(&[grad_out.shape()[0], self.in_dim]);
@@ -240,18 +180,6 @@ impl Layer for Dense {
 
     fn backward_params(&mut self, grad_out: &Tensor, _arena: &mut Arena) {
         self.accumulate_grads(grad_out);
-    }
-
-    fn params(&self) -> Vec<&[f32]> {
-        vec![self.w.data(), &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.w.data_mut(), &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![self.grad_w.data(), &self.grad_b]
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
@@ -314,27 +242,10 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = input.clone();
-        self.clamp(&mut out, train);
-        out
-    }
-
     fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
         let mut out = arena.take_from(input);
         self.clamp(&mut out, train);
         out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_out.len(),
-            self.mask.len(),
-            "backward requires a training-mode forward"
-        );
-        let mut g = grad_out.clone();
-        self.apply_mask(&mut g);
-        g
     }
 
     fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
@@ -348,19 +259,13 @@ impl Layer for Relu {
         g
     }
 
-    fn params(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn zero_grads(&mut self) {}
+
+    fn for_each_param(&self, _: &mut dyn FnMut(&[f32])) {}
+
+    fn for_each_param_mut(&mut self, _: &mut dyn FnMut(&mut [f32])) {}
+
+    fn for_each_grad(&self, _: &mut dyn FnMut(&[f32])) {}
 }
 
 /// Flattens `[batch, c, h, w]` (or any rank ≥ 2) to `[batch, rest]`.
@@ -377,17 +282,6 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let shape = input.shape().to_vec();
-        assert!(shape.len() >= 2, "flatten expects rank >= 2");
-        let batch = shape[0];
-        let rest: usize = shape[1..].iter().product();
-        if train {
-            self.cached_shape = shape;
-        }
-        input.clone().reshape(vec![batch, rest])
-    }
-
     fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
         assert!(input.shape().len() >= 2, "flatten expects rank >= 2");
         let batch = input.shape()[0];
@@ -401,29 +295,19 @@ impl Layer for Flatten {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone().reshape(self.cached_shape.clone())
-    }
-
     fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         let mut g = arena.take_from(grad_out);
         g.reshape_to(&self.cached_shape);
         g
     }
 
-    fn params(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn zero_grads(&mut self) {}
+
+    fn for_each_param(&self, _: &mut dyn FnMut(&[f32])) {}
+
+    fn for_each_param_mut(&mut self, _: &mut dyn FnMut(&mut [f32])) {}
+
+    fn for_each_grad(&self, _: &mut dyn FnMut(&[f32])) {}
 }
 
 /// 2-D convolution, stride 1, zero "same" padding optional.
@@ -706,27 +590,6 @@ impl Conv2d {
         }
     }
 
-    /// The lowered forward into a caller-provided output tensor: per
-    /// sample, pack patches, prefill the bias, `out += W · col`.
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) {
-        let s = input.shape();
-        let (h, w) = (s[2], s[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        let (taps, pixels) = (self.in_c * self.k * self.k, oh * ow);
-        self.col.resize(taps * pixels, 0.0);
-        for (x, o) in input
-            .data()
-            .chunks_exact(self.in_c * h * w)
-            .zip(out.data_mut().chunks_exact_mut(self.out_c * pixels))
-        {
-            pack_patches(x, &mut self.col, (h, w), (oh, ow), self.k, self.pad);
-            for (row, &bias) in o.chunks_exact_mut(pixels).zip(&self.b) {
-                row.fill(bias);
-            }
-            matmul_acc(self.w.data(), &self.col, o, (self.out_c, taps, pixels));
-        }
-    }
-
     /// The lowered parameter gradients: per sample, `grad_b` in the
     /// reference's order and `grad_w += g · colᵀ`.
     fn accumulate_grads(&mut self, grad_out: &Tensor) {
@@ -767,12 +630,45 @@ impl Conv2d {
             );
         }
     }
+}
 
-    /// Full backward into a caller-provided (zero-filled) input-gradient
-    /// tensor.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
+impl Layer for Conv2d {
+    /// The lowered forward: per sample, pack patches, prefill the bias,
+    /// `out += W · col`.
+    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
+        let s = input.shape();
+        assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
+        assert_eq!(s[1], self.in_c, "channel mismatch");
+        let (h, w) = (s[2], s[3]);
+        let (oh, ow) = self.out_hw(h, w);
+        let mut out = arena.take(&[s[0], self.out_c, oh, ow]);
+        let (taps, pixels) = (self.in_c * self.k * self.k, oh * ow);
+        self.col.resize(taps * pixels, 0.0);
+        for (x, o) in input
+            .data()
+            .chunks_exact(self.in_c * h * w)
+            .zip(out.data_mut().chunks_exact_mut(self.out_c * pixels))
+        {
+            pack_patches(x, &mut self.col, (h, w), (oh, ow), self.k, self.pad);
+            for (row, &bias) in o.chunks_exact_mut(pixels).zip(&self.b) {
+                row.fill(bias);
+            }
+            matmul_acc(self.w.data(), &self.col, o, (self.out_c, taps, pixels));
+        }
+        if train {
+            self.cache_input(input);
+        }
+        out
+    }
+
+    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         self.accumulate_grads(grad_out);
-        let s = grad_in.shape();
+        let s = self
+            .cached_input
+            .as_ref()
+            .expect("backward requires a training-mode forward")
+            .shape();
+        let mut grad_in = arena.take(s);
         let (h, w) = (s[2], s[3]);
         let (oh, ow) = self.out_hw(h, w);
         conv_input_grad(
@@ -784,75 +680,11 @@ impl Conv2d {
             self.k,
             self.pad,
         );
-    }
-}
-
-impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
-        assert_eq!(s[1], self.in_c, "channel mismatch");
-        let (oh, ow) = self.out_hw(s[2], s[3]);
-        let mut out = Tensor::zeros(vec![s[0], self.out_c, oh, ow]);
-        self.forward_into(input, &mut out);
-        if train {
-            self.cache_input(input);
-        }
-        out
-    }
-
-    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
-        assert_eq!(s[1], self.in_c, "channel mismatch");
-        let (oh, ow) = self.out_hw(s[2], s[3]);
-        let mut out = arena.take(&[s[0], self.out_c, oh, ow]);
-        self.forward_into(input, &mut out);
-        if train {
-            self.cache_input(input);
-        }
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .cached_input
-            .as_ref()
-            .expect("backward requires a training-mode forward")
-            .shape()
-            .to_vec();
-        let mut grad_in = Tensor::zeros(shape);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let mut grad_in = {
-            let shape = self
-                .cached_input
-                .as_ref()
-                .expect("backward requires a training-mode forward")
-                .shape();
-            arena.take(shape)
-        };
-        self.backward_into(grad_out, &mut grad_in);
         grad_in
     }
 
     fn backward_params(&mut self, grad_out: &Tensor, _arena: &mut Arena) {
         self.accumulate_grads(grad_out);
-    }
-
-    fn params(&self) -> Vec<&[f32]> {
-        vec![self.w.data(), &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.w.data_mut(), &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![self.grad_w.data(), &self.grad_b]
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
@@ -885,15 +717,46 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    /// A forward pass through a fresh arena.
+    fn forward<L: Layer>(layer: &mut L, input: &Tensor, train: bool) -> Tensor {
+        layer.forward_arena(input, train, &mut Arena::new())
+    }
+
+    /// A backward pass through a fresh arena.
+    fn backward<L: Layer>(layer: &mut L, grad_out: &Tensor) -> Tensor {
+        layer.backward_arena(grad_out, &mut Arena::new())
+    }
+
+    /// The layer's gradient slices, copied out in visitor order.
+    fn grads<L: Layer>(layer: &L) -> Vec<Vec<f32>> {
+        let mut out = Vec::new();
+        layer.for_each_grad(&mut |g| out.push(g.to_vec()));
+        out
+    }
+
+    /// Applies `edit` to the `slot`-th parameter slice.
+    fn edit_param<L: Layer>(layer: &mut L, slot: usize, edit: impl FnOnce(&mut [f32])) {
+        let (mut edit, mut i) = (Some(edit), 0);
+        layer.for_each_param_mut(&mut |p| {
+            if i == slot {
+                edit.take().expect("one slot per index")(p);
+            }
+            i += 1;
+        });
+        assert!(edit.is_none(), "layer has no parameter slot {slot}");
+    }
+
     /// Finite-difference check of a layer's backward pass w.r.t. both its
     /// input and parameters.
     fn grad_check<L: Layer>(layer: &mut L, input: Tensor) {
         let eps = 1e-3f32;
         // Loss = sum of outputs (so dL/dout = 1 everywhere).
-        let out = layer.forward(&input, true);
+        let out = forward(layer, &input, true);
         let ones = Tensor::from_vec(out.shape().to_vec(), vec![1.0; out.len()]);
         layer.zero_grads();
-        let grad_in = layer.backward(&ones);
+        let grad_in = backward(layer, &ones);
+        let loss =
+            |layer: &mut L, x: &Tensor| -> f32 { forward(layer, x, false).data().iter().sum() };
 
         // Check input gradient at a few positions.
         for idx in [0, input.len() / 2, input.len() - 1] {
@@ -901,9 +764,7 @@ mod tests {
             plus.data_mut()[idx] += eps;
             let mut minus = input.clone();
             minus.data_mut()[idx] -= eps;
-            let f_plus: f32 = layer.forward(&plus, false).data().iter().sum();
-            let f_minus: f32 = layer.forward(&minus, false).data().iter().sum();
-            let numeric = (f_plus - f_minus) / (2.0 * eps);
+            let numeric = (loss(layer, &plus) - loss(layer, &minus)) / (2.0 * eps);
             let analytic = grad_in.data()[idx];
             assert!(
                 (numeric - analytic).abs() < 2e-2,
@@ -913,15 +774,18 @@ mod tests {
 
         // Check first parameter tensor gradient at a few positions.
         if layer.param_count() > 0 {
-            let grads0: Vec<f32> = layer.grads()[0].to_vec();
+            let grads0 = grads(layer).swap_remove(0);
             let plen = grads0.len();
             for idx in [0, plen / 2, plen - 1] {
-                let orig = layer.params()[0][idx];
-                layer.params_mut()[0][idx] = orig + eps;
-                let f_plus: f32 = layer.forward(&input, false).data().iter().sum();
-                layer.params_mut()[0][idx] = orig - eps;
-                let f_minus: f32 = layer.forward(&input, false).data().iter().sum();
-                layer.params_mut()[0][idx] = orig;
+                let mut orig = 0.0;
+                edit_param(layer, 0, |p| {
+                    orig = p[idx];
+                    p[idx] = orig + eps;
+                });
+                let f_plus = loss(layer, &input);
+                edit_param(layer, 0, |p| p[idx] = orig - eps);
+                let f_minus = loss(layer, &input);
+                edit_param(layer, 0, |p| p[idx] = orig);
                 let numeric = (f_plus - f_minus) / (2.0 * eps);
                 assert!(
                     (numeric - grads0[idx]).abs() < 2e-2,
@@ -952,17 +816,21 @@ mod tests {
     fn conv_gradients_match_finite_differences() {
         let mut rng = rng();
         let mut layer = Conv2d::new(2, 3, 3, 1, &mut rng);
+        grad_check(&mut layer, conv_input());
+    }
+
+    /// A `[2, 2, 5, 5]` conv input with exact zeros and both signs.
+    fn conv_input() -> Tensor {
         let n = 2 * 2 * 5 * 5;
-        let input = Tensor::from_vec(
+        Tensor::from_vec(
             vec![2, 2, 5, 5],
             (0..n).map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.1).collect(),
-        );
-        grad_check(&mut layer, input);
+        )
     }
 
     #[test]
     fn dense_backward_matches_reference_formulation_bitwise() {
-        // The matmul_tn / matmul_nt fast path must reproduce the naive
+        // The matmul_tn_into / matmul_nt_into fast path must reproduce the naive
         // transpose-then-matmul gradients bit for bit (weight releases are
         // content-addressed, so any drift would change CIDs).
         let mut rng = rng();
@@ -973,17 +841,17 @@ mod tests {
                 .map(|i| ((i * 11 % 7) as f32 - 3.0) * 0.25)
                 .collect(),
         );
-        let fwd = layer.forward(&input, true);
+        let fwd = forward(&mut layer, &input, true);
         let grad_out = Tensor::from_vec(
             fwd.shape().to_vec(),
             (0..fwd.len()).map(|i| (i as f32 - 5.0) * 0.1).collect(),
         );
         layer.zero_grads();
-        let grad_in = layer.backward(&grad_out);
+        let grad_in = backward(&mut layer, &grad_out);
 
-        let ref_gw = input.transpose().matmul(&grad_out);
-        let ref_gin = grad_out.matmul(&layer.w.transpose());
-        for (a, b) in layer.grads()[0].iter().zip(ref_gw.data()) {
+        let ref_gw = input.transpose().matmul_naive(&grad_out);
+        let ref_gin = grad_out.matmul_naive(&layer.w.transpose());
+        for (a, b) in layer.grad_w.data().iter().zip(ref_gw.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for (a, b) in grad_in.data().iter().zip(ref_gin.data()) {
@@ -991,64 +859,60 @@ mod tests {
         }
     }
 
-    /// The arena paths must reproduce the allocating paths bit for bit —
-    /// run two identically seeded layers side by side for several batches
-    /// so the second and later batches exercise recycled buffers.
-    fn arena_matches_allocating<L: Layer>(mut plain: L, mut pooled: L, input: Tensor) {
+    /// Stale arena buffers and layer caches must never leak into results:
+    /// each batch through one long-lived layer and a warm, recycled arena
+    /// must match the same batch through a fresh layer and a fresh arena,
+    /// bit for bit. The first batch runs different values, so every later
+    /// one reuses buffers that held other data.
+    fn warm_arena_matches_fresh<L: Layer>(make: impl Fn() -> L, input: Tensor) {
+        let assert_bits = |a: &[f32], b: &[f32], what: &str| {
+            assert_eq!(a.len(), b.len(), "{what} length");
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{what} drifted");
+            }
+        };
+        let mut stale = input.clone();
+        stale.scale(-1.5);
+        let mut warm = make();
         let mut arena = Arena::new();
-        for _ in 0..3 {
-            let out_p = plain.forward(&input, true);
-            let out_a = pooled.forward_arena(&input, true, &mut arena);
-            assert_eq!(out_p.shape(), out_a.shape());
-            for (x, y) in out_p.data().iter().zip(out_a.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "forward drifted");
+        for x in [&stale, &input, &input] {
+            let mut fresh = make();
+            let mut fresh_arena = Arena::new();
+            warm.zero_grads();
+            let out_w = warm.forward_arena(x, true, &mut arena);
+            let out_f = fresh.forward_arena(x, true, &mut fresh_arena);
+            assert_eq!(out_w.shape(), out_f.shape());
+            assert_bits(out_w.data(), out_f.data(), "forward");
+            let ones = Tensor::from_vec(out_w.shape().to_vec(), vec![1.0; out_w.len()]);
+            let gin_w = warm.backward_arena(&ones, &mut arena);
+            let gin_f = fresh.backward_arena(&ones, &mut fresh_arena);
+            assert_eq!(gin_w.shape(), gin_f.shape());
+            assert_bits(gin_w.data(), gin_f.data(), "backward");
+            for (gw, gf) in grads(&warm).iter().zip(&grads(&fresh)) {
+                assert_bits(gw, gf, "param grads");
             }
-            let ones = Tensor::from_vec(out_p.shape().to_vec(), vec![1.0; out_p.len()]);
-            let gin_p = plain.backward(&ones);
-            let gin_a = pooled.backward_arena(&ones, &mut arena);
-            for (x, y) in gin_p.data().iter().zip(gin_a.data()) {
-                assert_eq!(x.to_bits(), y.to_bits(), "backward drifted");
-            }
-            for (gp, ga) in plain.grads().iter().zip(pooled.grads().iter()) {
-                for (x, y) in gp.iter().zip(ga.iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "param grads drifted");
-                }
-            }
-            arena.recycle(gin_a);
-            arena.recycle(out_a);
+            arena.recycle(gin_w);
+            arena.recycle(out_w);
         }
     }
 
     #[test]
     fn dense_arena_path_is_bit_identical() {
         let input = Tensor::from_vec(vec![3, 4], (0..12).map(|i| i as f32 * 0.3 - 1.7).collect());
-        arena_matches_allocating(
-            Dense::new(4, 5, &mut rng()),
-            Dense::new(4, 5, &mut rng()),
-            input,
-        );
+        warm_arena_matches_fresh(|| Dense::new(4, 5, &mut rng()), input);
     }
 
     #[test]
     fn relu_and_flatten_arena_paths_are_bit_identical() {
         let input = Tensor::from_vec(vec![2, 6], (0..12).map(|i| i as f32 * 0.4 - 2.1).collect());
-        arena_matches_allocating(Relu::new(), Relu::new(), input.clone());
+        warm_arena_matches_fresh(Relu::new, input.clone());
         let boxed = input.reshape(vec![2, 2, 3]);
-        arena_matches_allocating(Flatten::new(), Flatten::new(), boxed);
+        warm_arena_matches_fresh(Flatten::new, boxed);
     }
 
     #[test]
     fn conv_arena_path_is_bit_identical() {
-        let n = 2 * 2 * 5 * 5;
-        let input = Tensor::from_vec(
-            vec![2, 2, 5, 5],
-            (0..n).map(|i| ((i * 7 % 13) as f32 - 6.0) * 0.1).collect(),
-        );
-        arena_matches_allocating(
-            Conv2d::new(2, 3, 3, 1, &mut rng()),
-            Conv2d::new(2, 3, 3, 1, &mut rng()),
-            input,
-        );
+        warm_arena_matches_fresh(|| Conv2d::new(2, 3, 3, 1, &mut rng()), conv_input());
     }
 
     /// The one documented divergence of the conv lowering from its frozen
@@ -1069,10 +933,10 @@ mod tests {
             let input = Tensor::from_vec(vec![1, 1, 1, 1], x);
             let w = Tensor::from_vec(vec![1, 1, k, k], weight);
             let mut layer = Conv2d::new(1, 1, k, pad, &mut rng());
-            layer.params_mut()[0].copy_from_slice(w.data());
+            layer.w.data_mut().copy_from_slice(w.data());
             for bias in [0.0f32, -0.0] {
-                layer.params_mut()[1][0] = bias;
-                let lowered = layer.forward(&input, false).data()[0];
+                layer.b[0] = bias;
+                let lowered = forward(&mut layer, &input, false).data()[0];
                 let naive = conv_forward_naive(&input, &w, &[bias], pad).data()[0];
                 assert_eq!(lowered, naive, "values agree");
                 assert_eq!(lowered, 0.0);
@@ -1093,16 +957,21 @@ mod tests {
     fn dense_forward_applies_bias() {
         let mut rng = rng();
         let mut layer = Dense::new(2, 2, &mut rng);
-        layer.params_mut()[0].copy_from_slice(&[1.0, 0.0, 0.0, 1.0]); // identity W
-        layer.params_mut()[1].copy_from_slice(&[10.0, 20.0]);
-        let out = layer.forward(&Tensor::from_vec(vec![1, 2], vec![1.0, 2.0]), false);
+        edit_param(&mut layer, 0, |w| w.copy_from_slice(&[1.0, 0.0, 0.0, 1.0])); // identity W
+        edit_param(&mut layer, 1, |b| b.copy_from_slice(&[10.0, 20.0]));
+        let out = forward(
+            &mut layer,
+            &Tensor::from_vec(vec![1, 2], vec![1.0, 2.0]),
+            false,
+        );
         assert_eq!(out.data(), &[11.0, 22.0]);
     }
 
     #[test]
     fn relu_clamps_negatives() {
         let mut layer = Relu::new();
-        let out = layer.forward(&Tensor::from_vec(vec![1, 3], vec![-1.0, 0.0, 2.0]), false);
+        let input = Tensor::from_vec(vec![1, 3], vec![-1.0, 0.0, 2.0]);
+        let out = forward(&mut layer, &input, false);
         assert_eq!(out.data(), &[0.0, 0.0, 2.0]);
     }
 
@@ -1110,7 +979,7 @@ mod tests {
     fn conv_same_padding_preserves_hw() {
         let mut rng = rng();
         let mut layer = Conv2d::new(3, 8, 3, 1, &mut rng);
-        let out = layer.forward(&Tensor::zeros(vec![2, 3, 8, 8]), false);
+        let out = forward(&mut layer, &Tensor::zeros(vec![2, 3, 8, 8]), false);
         assert_eq!(out.shape(), &[2, 8, 8, 8]);
     }
 
@@ -1118,7 +987,7 @@ mod tests {
     fn conv_valid_padding_shrinks_hw() {
         let mut rng = rng();
         let mut layer = Conv2d::new(1, 1, 3, 0, &mut rng);
-        let out = layer.forward(&Tensor::zeros(vec![1, 1, 8, 8]), false);
+        let out = forward(&mut layer, &Tensor::zeros(vec![1, 1, 8, 8]), false);
         assert_eq!(out.shape(), &[1, 1, 6, 6]);
     }
 
@@ -1126,9 +995,9 @@ mod tests {
     fn flatten_round_trips_shape() {
         let mut layer = Flatten::new();
         let input = Tensor::zeros(vec![2, 3, 4, 5]);
-        let out = layer.forward(&input, true);
+        let out = forward(&mut layer, &input, true);
         assert_eq!(out.shape(), &[2, 60]);
-        let back = layer.backward(&out);
+        let back = backward(&mut layer, &out);
         assert_eq!(back.shape(), &[2, 3, 4, 5]);
     }
 
@@ -1140,6 +1009,7 @@ mod tests {
         let conv = Conv2d::new(3, 8, 3, 1, &mut rng);
         assert_eq!(conv.param_count(), 8 * 3 * 3 * 3 + 8);
         assert_eq!(Relu::new().param_count(), 0);
+        assert_eq!(Flatten::new().param_count(), 0);
     }
 
     #[test]
@@ -1147,11 +1017,11 @@ mod tests {
         let mut rng = rng();
         let mut layer = Dense::new(2, 2, &mut rng);
         let input = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]);
-        let out = layer.forward(&input, true);
+        let out = forward(&mut layer, &input, true);
         let ones = Tensor::from_vec(vec![1, 2], vec![1.0; out.len()]);
-        layer.backward(&ones);
-        assert!(layer.grads()[0].iter().any(|g| *g != 0.0));
+        backward(&mut layer, &ones);
+        assert!(grads(&layer)[0].iter().any(|g| *g != 0.0));
         layer.zero_grads();
-        assert!(layer.grads()[0].iter().all(|g| *g == 0.0));
+        assert!(grads(&layer).iter().flatten().all(|g| *g == 0.0));
     }
 }

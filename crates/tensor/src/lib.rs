@@ -4,11 +4,12 @@
 //! PyTorch/Flower; the reproduction rules require building the substrate
 //! from scratch. This crate provides:
 //!
-//! - [`tensor`] — dense `f32` tensors (cache-blocked matmul kernels,
-//!   transpose, reductions);
+//! - [`tensor`] — dense `f32` tensors (cache-blocked matmul kernels that
+//!   write into caller-owned outputs, transpose);
 //! - [`arena`] — recycled tensor buffers backing the zero-allocation
 //!   training hot path;
-//! - [`layers`] — [`layers::Dense`], [`layers::Conv2d`], [`layers::Relu`],
+//! - [`layers`] — the arena-backed [`layers::Layer`] trait and
+//!   [`layers::Dense`], [`layers::Conv2d`], [`layers::Relu`],
 //!   [`layers::Flatten`] with hand-written, finite-difference-tested
 //!   backward passes;
 //! - [`model`] — [`Sequential`] stacks with flat-parameter views for FL
@@ -33,8 +34,13 @@
 //! let spec = ModelSpec::mlp(4, vec![8], 3);
 //! let mut model = spec.build(42);
 //! let x = Tensor::zeros(vec![2, 4]);
-//! let logits = model.forward(&x, false);
-//! assert_eq!(logits.shape(), &[2, 3]);
+//! let labels = [0, 2];
+//! // One mini-batch step: forward, loss, backward. The gradients stay in
+//! // the layers for an optimizer to apply.
+//! let loss = model.train_batch(&x, &labels);
+//! let (eval_loss, accuracy) = model.evaluate_batch(&x, &labels);
+//! assert_eq!(eval_loss, loss); // no optimizer step ran in between
+//! assert!((0.0..=1.0).contains(&accuracy));
 //! ```
 
 #![warn(missing_docs)]

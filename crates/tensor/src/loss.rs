@@ -2,47 +2,15 @@
 
 use crate::tensor::Tensor;
 
-/// Result of a loss evaluation over a batch.
-#[derive(Debug, Clone)]
-pub struct LossOutput {
-    /// Mean cross-entropy over the batch.
-    pub loss: f32,
-    /// Gradient of the mean loss w.r.t. the logits, `[batch, classes]`.
-    pub grad: Tensor,
-    /// Per-row predicted class (argmax of the logits).
-    pub predictions: Vec<usize>,
-}
-
-/// Computes mean softmax cross-entropy and its gradient.
+/// Computes mean softmax cross-entropy and its gradient, writing the
+/// gradient and predictions into caller-owned buffers (`exps` is per-row
+/// scratch), so the training hot path allocates nothing per batch once the
+/// buffers have warmed up.
 ///
 /// Numerically stabilized by subtracting each row's max logit.
 ///
-/// # Panics
-///
-/// Panics if `logits` is not `[batch, classes]`, `labels.len() != batch`,
-/// or any label is out of range.
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> LossOutput {
-    let (batch, classes) = (logits.shape()[0], logits.shape()[1]);
-    let mut grad = Tensor::zeros(vec![batch, classes]);
-    let mut predictions = Vec::new();
-    let mut exps = Vec::new();
-    let loss = softmax_cross_entropy_into(logits, labels, &mut grad, &mut predictions, &mut exps);
-    LossOutput {
-        loss,
-        grad,
-        predictions,
-    }
-}
-
-/// [`softmax_cross_entropy`] writing the gradient and predictions into
-/// caller-owned buffers (`exps` is per-row scratch), so the training hot
-/// path allocates nothing per batch once the buffers have warmed up.
-/// Arithmetic is identical to the allocating entry point — `exps` is
-/// cleared and refilled per row exactly as the collected vector was — so
-/// losses and gradients match bit for bit.
-///
 /// `grad` is reshaped to `[batch, classes]` in place; `predictions` is
-/// cleared and refilled.
+/// cleared and refilled with each row's argmax.
 ///
 /// # Panics
 ///
@@ -100,45 +68,57 @@ pub fn softmax_cross_entropy_into(
 mod tests {
     use super::*;
 
+    /// Loss, gradient and predictions through fresh buffers.
+    fn ce(logits: &Tensor, labels: &[usize]) -> (f32, Tensor, Vec<usize>) {
+        let mut grad = Tensor::zeros(vec![0]);
+        let mut predictions = Vec::new();
+        let loss = softmax_cross_entropy_into(
+            logits,
+            labels,
+            &mut grad,
+            &mut predictions,
+            &mut Vec::new(),
+        );
+        (loss, grad, predictions)
+    }
+
     #[test]
     fn uniform_logits_give_log_classes() {
         let logits = Tensor::zeros(vec![4, 10]);
-        let out = softmax_cross_entropy(&logits, &[0, 1, 2, 3]);
-        assert!((out.loss - (10.0f32).ln()).abs() < 1e-5);
+        let (loss, _, _) = ce(&logits, &[0, 1, 2, 3]);
+        assert!((loss - (10.0f32).ln()).abs() < 1e-5);
     }
 
     #[test]
     fn confident_correct_logits_give_near_zero_loss() {
         let mut logits = Tensor::zeros(vec![1, 3]);
         logits.set(&[0, 1], 20.0);
-        let out = softmax_cross_entropy(&logits, &[1]);
-        assert!(out.loss < 1e-4);
-        assert_eq!(out.predictions, vec![1]);
+        let (loss, _, predictions) = ce(&logits, &[1]);
+        assert!(loss < 1e-4);
+        assert_eq!(predictions, vec![1]);
     }
 
     #[test]
     fn confident_wrong_logits_give_large_loss() {
         let mut logits = Tensor::zeros(vec![1, 3]);
         logits.set(&[0, 2], 20.0);
-        let out = softmax_cross_entropy(&logits, &[0]);
-        assert!(out.loss > 10.0);
+        let (loss, _, _) = ce(&logits, &[0]);
+        assert!(loss > 10.0);
     }
 
     #[test]
     fn gradient_matches_finite_differences() {
         let logits = Tensor::from_vec(vec![2, 3], vec![0.2, -0.5, 0.9, 1.5, 0.0, -1.0]);
         let labels = [2usize, 0];
-        let out = softmax_cross_entropy(&logits, &labels);
+        let (_, grad, _) = ce(&logits, &labels);
         let eps = 1e-3f32;
         for idx in 0..logits.len() {
             let mut plus = logits.clone();
             plus.data_mut()[idx] += eps;
             let mut minus = logits.clone();
             minus.data_mut()[idx] -= eps;
-            let lp = softmax_cross_entropy(&plus, &labels).loss;
-            let lm = softmax_cross_entropy(&minus, &labels).loss;
-            let numeric = (lp - lm) / (2.0 * eps);
-            let analytic = out.grad.data()[idx];
+            let numeric = (ce(&plus, &labels).0 - ce(&minus, &labels).0) / (2.0 * eps);
+            let analytic = grad.data()[idx];
             assert!(
                 (numeric - analytic).abs() < 1e-3,
                 "grad mismatch at {idx}: {numeric} vs {analytic}"
@@ -149,24 +129,24 @@ mod tests {
     #[test]
     fn gradient_rows_sum_to_zero() {
         let logits = Tensor::from_vec(vec![1, 4], vec![3.0, 1.0, -2.0, 0.5]);
-        let out = softmax_cross_entropy(&logits, &[1]);
-        let sum: f32 = out.grad.data().iter().sum();
+        let (_, grad, _) = ce(&logits, &[1]);
+        let sum: f32 = grad.data().iter().sum();
         assert!(sum.abs() < 1e-6, "softmax-CE grad sums to zero per row");
     }
 
     #[test]
     fn extreme_logits_are_stable() {
         let logits = Tensor::from_vec(vec![1, 2], vec![1000.0, -1000.0]);
-        let out = softmax_cross_entropy(&logits, &[0]);
-        assert!(out.loss.is_finite());
-        assert!(out.grad.data().iter().all(|g| g.is_finite()));
+        let (loss, grad, _) = ce(&logits, &[0]);
+        assert!(loss.is_finite());
+        assert!(grad.data().iter().all(|g| g.is_finite()));
     }
 
     #[test]
     fn into_variant_reuses_buffers_bit_identically() {
         let logits = Tensor::from_vec(vec![2, 3], vec![0.2, -0.5, 0.9, 1.5, 0.0, -1.0]);
         let labels = [2usize, 0];
-        let reference = softmax_cross_entropy(&logits, &labels);
+        let (ref_loss, ref_grad, ref_predictions) = ce(&logits, &labels);
 
         // Warm the buffers with stale contents of the wrong size.
         let mut grad = Tensor::zeros(vec![7]);
@@ -181,10 +161,10 @@ mod tests {
                 &mut predictions,
                 &mut exps,
             );
-            assert_eq!(loss.to_bits(), reference.loss.to_bits());
-            assert_eq!(predictions, reference.predictions);
-            assert_eq!(grad.shape(), reference.grad.shape());
-            for (a, b) in grad.data().iter().zip(reference.grad.data()) {
+            assert_eq!(loss.to_bits(), ref_loss.to_bits());
+            assert_eq!(predictions, ref_predictions);
+            assert_eq!(grad.shape(), ref_grad.shape());
+            for (a, b) in grad.data().iter().zip(ref_grad.data()) {
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -194,6 +174,6 @@ mod tests {
     #[should_panic(expected = "label")]
     fn out_of_range_label_panics() {
         let logits = Tensor::zeros(vec![1, 3]);
-        let _ = softmax_cross_entropy(&logits, &[3]);
+        let _ = ce(&logits, &[3]);
     }
 }

@@ -57,23 +57,6 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Forward pass through all layers.
-    pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
-        }
-        x
-    }
-
-    /// Backward pass through all layers (after a training-mode forward).
-    pub fn backward(&mut self, grad_out: &Tensor) {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-    }
-
     /// Zeroes all accumulated gradients.
     pub fn zero_grads(&mut self) {
         for layer in &mut self.layers {
@@ -97,16 +80,8 @@ impl Sequential {
         }
     }
 
-    /// All gradients flattened into one vector (same order as
-    /// [`Sequential::flat_params`]).
-    pub fn flat_grads(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.param_count());
-        self.flat_grads_into(&mut out);
-        out
-    }
-
-    /// [`Sequential::flat_grads`] into a caller-owned buffer (cleared and
-    /// refilled), matching [`Sequential::flat_params_into`].
+    /// All gradients flattened into a caller-owned buffer (cleared and
+    /// refilled), in [`Sequential::flat_params`] order.
     pub fn flat_grads_into(&self, out: &mut Vec<f32>) {
         out.clear();
         for layer in &self.layers {
@@ -142,7 +117,7 @@ impl Sequential {
     /// given shape, the whole step performs zero heap allocations. The
     /// first layer runs [`Layer::backward_params`], so its unread input
     /// gradient is never computed; the gradients left in the layers are
-    /// bit-identical to a full [`Sequential::backward`].
+    /// bit-identical to running [`Layer::backward_arena`] on every layer.
     ///
     /// # Panics
     ///
@@ -212,7 +187,7 @@ impl Sequential {
 
     /// Arena-backed forward pass; the returned tensor belongs to the arena
     /// and must be recycled by the caller.
-    fn forward_pooled(&mut self, input: &Tensor, train: bool) -> Tensor {
+    pub(crate) fn forward_pooled(&mut self, input: &Tensor, train: bool) -> Tensor {
         let Sequential { layers, arena, .. } = self;
         let mut x = arena.take_from(input);
         for layer in layers.iter_mut() {
@@ -297,7 +272,8 @@ mod tests {
         for _ in 0..50 {
             let _ = m.train_batch(&x, &y);
             // Manual SGD over the flat views.
-            let grads = m.flat_grads();
+            let mut grads = Vec::new();
+            m.flat_grads_into(&mut grads);
             let mut params = m.flat_params();
             for (p, g) in params.iter_mut().zip(&grads) {
                 *p -= lr * g;
@@ -341,32 +317,47 @@ mod tests {
         (Tensor::from_vec(vec![6, 3, 8, 8], xs), (0..6).collect())
     }
 
+    /// The full training step `train_batch` shortcuts: every layer runs
+    /// `forward_arena` and `backward_arena` on a fresh arena, nothing is
+    /// recycled, and the first layer's input gradient is computed too.
+    /// Returns the loss.
+    fn unpooled_step(m: &mut Sequential, x: &Tensor, labels: &[usize]) -> f32 {
+        let mut arena = Arena::new();
+        m.zero_grads();
+        let mut a = x.clone();
+        for layer in &mut m.layers {
+            a = layer.forward_arena(&a, true, &mut arena);
+        }
+        let mut grad = Tensor::zeros(vec![0]);
+        let loss =
+            softmax_cross_entropy_into(&a, labels, &mut grad, &mut Vec::new(), &mut Vec::new());
+        for layer in m.layers.iter_mut().rev() {
+            grad = layer.backward_arena(&grad, &mut arena);
+        }
+        loss
+    }
+
     #[test]
     fn train_batch_matches_unpooled_forward_backward_bitwise() {
-        use crate::loss::softmax_cross_entropy;
         use crate::zoo::ModelSpec;
-        // Same seed → identical models; one trains through the arena path
-        // (which skips the first layer's input gradient), the other through
-        // the allocating full forward/backward. Losses and gradients must
-        // agree bit for bit across repeated batches, for a Dense-first and
-        // a Conv2d-first stack.
+        // Same seed → identical models; one trains through `train_batch`
+        // (recycled arena, first layer via `backward_params`), the other
+        // through the full unpooled step. Losses and gradients must agree
+        // bit for bit across repeated batches, for a Dense-first and a
+        // Conv2d-first stack.
         let cnn = ModelSpec::small_cnn(10);
         let cases = [
             (tiny_mlp(7), tiny_mlp(7), toy_batch()),
             (cnn.build(7), cnn.build(7), cnn_batch()),
         ];
         for (mut pooled, mut plain, (x, y)) in cases {
+            let (mut gp, mut gq) = (Vec::new(), Vec::new());
             for _ in 0..3 {
                 let loss = pooled.train_batch(&x, &y);
-
-                plain.zero_grads();
-                let logits = plain.forward(&x, true);
-                let out = softmax_cross_entropy(&logits, &y);
-                plain.backward(&out.grad);
-
-                assert_eq!(loss.to_bits(), out.loss.to_bits());
-                let gp = pooled.flat_grads();
-                let gq = plain.flat_grads();
+                let plain_loss = unpooled_step(&mut plain, &x, &y);
+                assert_eq!(loss.to_bits(), plain_loss.to_bits());
+                pooled.flat_grads_into(&mut gp);
+                plain.flat_grads_into(&mut gq);
                 assert_eq!(gp.len(), gq.len());
                 for (a, b) in gp.iter().zip(&gq) {
                     assert_eq!(a.to_bits(), b.to_bits());
@@ -394,11 +385,14 @@ mod tests {
         let (x, y) = toy_batch();
         let _ = m.train_batch(&x, &y);
         let mut params = vec![99.0f32; 3]; // stale contents must be cleared
-        let mut grads = Vec::new();
+        let mut grads = vec![-7.0f32; 500];
         m.flat_params_into(&mut params);
         m.flat_grads_into(&mut grads);
         assert_eq!(params, m.flat_params());
-        assert_eq!(grads, m.flat_grads());
+        let mut fresh = Vec::new();
+        m.flat_grads_into(&mut fresh);
+        assert_eq!(grads, fresh);
+        assert_eq!(grads.len(), m.param_count());
     }
 
     #[test]

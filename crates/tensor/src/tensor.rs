@@ -5,18 +5,16 @@
 //! keeps the substrate auditable and the FL weight-exchange path (flat
 //! `Vec<f32>` views) trivial.
 
-use serde::{Deserialize, Serialize};
-
-/// Cache-blocking tile sizes for the matmul kernels. The `matmul` /
-/// `matmul_tn` kernels slab the inner dimension in `KB` steps so each
+/// Cache-blocking tile sizes for the matmul kernels. The `matmul_into` /
+/// `matmul_tn_into` kernels slab the inner dimension in `KB` steps so each
 /// slab's rhs panel is read from memory once per multiply instead of once
-/// per output row; `matmul_nt` additionally packs transposed `KB × NB`
+/// per output row; `matmul_nt_into` additionally packs transposed `KB × NB`
 /// rhs tiles (16 KiB — comfortably L1-resident) because its naive walk
 /// strides by `k` on every inner step, the worst pattern of the three.
 const KB: usize = 64;
 const NB: usize = 64;
 
-/// The `matmul_nt` micro-kernel: `acc[j] += lvals[p] * panel[p * stride +
+/// The `matmul_nt_into` micro-kernel: `acc[j] += lvals[p] * panel[p * stride +
 /// j]` over ascending `p`, skipping exact-zero left-hand entries. This is
 /// the naive kernels' exact f32 add sequence (ascending inner dimension,
 /// zero-skip, no FMA contraction), so the blocked kernel built on it is
@@ -80,7 +78,7 @@ pub(crate) fn matmul_acc(a: &[f32], b: &[f32], c: &mut [f32], (m, k, n): (usize,
 /// let t = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
 /// assert_eq!(t.get(&[1, 2]), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,
@@ -187,26 +185,9 @@ impl Tensor {
         self
     }
 
-    /// Matrix multiplication: `self` is `[m, k]`, `rhs` is `[k, n]`, result
-    /// `[m, n]`. Cache-blocked with stack-resident accumulator rows —
-    /// bit-identical to [`Tensor::matmul_naive`] (proptest-pinned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank-2 or the inner dims differ.
-    pub fn matmul(&self, rhs: &Tensor) -> Tensor {
-        assert_eq!(self.shape.len(), 2, "lhs must be rank-2");
-        assert_eq!(rhs.shape.len(), 2, "rhs must be rank-2");
-        let (m, _) = (self.shape[0], self.shape[1]);
-        let n = rhs.shape[1];
-        let mut out = Tensor::zeros(vec![m, n]);
-        self.matmul_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul`] writing into a caller-owned output tensor (e.g.
-    /// an arena buffer), avoiding the result allocation. The output is
-    /// overwritten, not accumulated into.
+    /// Matrix multiplication into a caller-owned output tensor (e.g. an
+    /// arena buffer): `self` is `[m, k]`, `rhs` is `[k, n]`, `out` is
+    /// `[m, n]`. The output is overwritten, not accumulated into.
     ///
     /// Zero-fills `out`, then runs the k-slab-blocked accumulating core
     /// (`matmul_acc`): one rhs panel is read from memory once per slab
@@ -230,7 +211,7 @@ impl Tensor {
     }
 
     /// The reference triple-loop `[m, k] · [k, n]` kernel the blocked
-    /// [`Tensor::matmul`] is proven bit-identical to (kept for the
+    /// [`Tensor::matmul_into`] is proven bit-identical to (kept for the
     /// proptests and the kernel-speedup microbench).
     ///
     /// # Panics
@@ -262,29 +243,14 @@ impl Tensor {
         }
     }
 
-    /// Transposed-packed matrix multiplication: `selfᵀ · rhs` with `self`
-    /// stored as `[k, m]` and `rhs` as `[k, n]`, result `[m, n]`.
+    /// Transposed-packed matrix multiplication into a caller-owned output
+    /// tensor (e.g. a per-layer scratch buffer): `selfᵀ · rhs` with `self`
+    /// stored as `[k, m]`, `rhs` as `[k, n]` and `out` as `[m, n]`. The
+    /// output is overwritten, not accumulated into.
     ///
-    /// Bit-identical to `self.transpose().matmul(rhs)` — the loops walk the
-    /// same accumulation order — but reads `self` in place instead of
-    /// materializing the transposed copy. This is the dense-layer backward
-    /// hot path (`grad_w = xᵀ · g`), where the per-batch `transpose()`
-    /// allocation used to dominate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank-2 or the shared `k` dims differ.
-    pub fn matmul_tn(&self, rhs: &Tensor) -> Tensor {
-        let (_, m) = self.rank2_dims("matmul_tn lhs");
-        let (_, n) = rhs.rank2_dims("matmul_tn rhs");
-        let mut out = Tensor::zeros(vec![m, n]);
-        self.matmul_tn_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_tn`] writing into a caller-owned output tensor
-    /// (e.g. a per-layer scratch buffer), avoiding the result allocation.
-    /// The output is overwritten, not accumulated into.
+    /// Bit-identical to transposing `self` and multiplying, but reads
+    /// `self` in place instead of materializing the transposed copy. This
+    /// is the dense-layer backward hot path (`grad_w = xᵀ · g`).
     ///
     /// Cache-blocked over the inner dimension exactly like
     /// [`Tensor::matmul_into`]: each `KB`-slab's rhs panel is read from
@@ -325,7 +291,7 @@ impl Tensor {
     }
 
     /// The reference column-strided `selfᵀ · rhs` kernel the blocked
-    /// [`Tensor::matmul_tn`] is proven bit-identical to (kept for the
+    /// [`Tensor::matmul_tn_into`] is proven bit-identical to (kept for the
     /// proptests and the kernel-speedup microbench).
     ///
     /// # Panics
@@ -352,29 +318,14 @@ impl Tensor {
         out
     }
 
-    /// Matrix multiplication against a transposed-packed right-hand side:
-    /// `self · rhsᵀ` with `self` as `[m, k]` and `rhs` as `[n, k]`, result
-    /// `[m, n]`.
+    /// Matrix multiplication against a transposed-packed right-hand side,
+    /// into a caller-owned output tensor (e.g. an arena buffer): `self ·
+    /// rhsᵀ` with `self` as `[m, k]`, `rhs` as `[n, k]` and `out` as `[m,
+    /// n]`. The output is overwritten, not accumulated into.
     ///
-    /// Bit-identical to `self.matmul(&rhs.transpose())` — same accumulation
-    /// order — but reads `rhs` in place instead of materializing the
-    /// transposed copy. This is the other dense-layer backward hot path
-    /// (`grad_in = g · Wᵀ`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank-2 or the shared `k` dims differ.
-    pub fn matmul_nt(&self, rhs: &Tensor) -> Tensor {
-        let (m, _) = self.rank2_dims("matmul_nt lhs");
-        let (n, _) = rhs.rank2_dims("matmul_nt rhs");
-        let mut out = Tensor::zeros(vec![m, n]);
-        self.matmul_nt_into(rhs, &mut out);
-        out
-    }
-
-    /// [`Tensor::matmul_nt`] writing into a caller-owned output tensor
-    /// (e.g. an arena buffer), avoiding the result allocation. The output
-    /// is overwritten, not accumulated into.
+    /// Bit-identical to multiplying by the transposed `rhs`, but reads
+    /// `rhs` in place instead of materializing the transposed copy. This
+    /// is the other dense-layer backward hot path (`grad_in = g · Wᵀ`).
     ///
     /// The rhs is stored `[n, k]`, so the naive walk strides by `k` along
     /// the output axis — the worst access pattern of the three kernels. The
@@ -423,7 +374,7 @@ impl Tensor {
     }
 
     /// The reference column-strided `self · rhsᵀ` kernel the blocked
-    /// [`Tensor::matmul_nt`] is proven bit-identical to (kept for the
+    /// [`Tensor::matmul_nt_into`] is proven bit-identical to (kept for the
     /// proptests and the kernel-speedup microbench).
     ///
     /// # Panics
@@ -497,32 +448,6 @@ impl Tensor {
         }
     }
 
-    /// Index of the maximum element in each row of a `[batch, classes]`
-    /// tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank-2.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        assert_eq!(self.shape.len(), 2, "argmax_rows needs rank-2");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        (0..m)
-            .map(|i| {
-                let row = &self.data[i * n..(i + 1) * n];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .expect("non-empty row")
-            })
-            .collect()
-    }
-
-    /// Euclidean (L2) norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Overwrites `self` with `src`'s shape and contents, reusing the
     /// existing buffers — the zero-allocation alternative to `clone()` once
     /// both buffers have grown to their steady-state capacity.
@@ -558,20 +483,6 @@ impl Tensor {
         self.shape.clear();
         self.shape.extend_from_slice(dims);
     }
-
-    /// Squared Euclidean distance between two flattened tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn sq_dist(&self, rhs: &Tensor) -> f32 {
-        assert_eq!(self.data.len(), rhs.data.len(), "length mismatch");
-        self.data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum()
-    }
 }
 
 /// Squared Euclidean distance between two flat weight vectors (used by
@@ -595,11 +506,39 @@ pub fn sq_dist_slice(a: &[f32], b: &[f32]) -> f64 {
 mod tests {
     use super::*;
 
+    /// `a · b` into a fresh output.
+    fn mm(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(vec![a.shape()[0], b.shape()[1]]);
+        a.matmul_into(b, &mut out);
+        out
+    }
+
+    /// `aᵀ · b` into a fresh output.
+    fn mm_tn(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(vec![a.shape()[1], b.shape()[1]]);
+        a.matmul_tn_into(b, &mut out);
+        out
+    }
+
+    /// `a · bᵀ` into a fresh output.
+    fn mm_nt(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Tensor::zeros(vec![a.shape()[0], b.shape()[0]]);
+        a.matmul_nt_into(b, &mut out);
+        out
+    }
+
+    fn assert_bits(x: &Tensor, y: &Tensor, what: &str) {
+        assert_eq!(x.shape(), y.shape(), "{what}: shapes");
+        for (a, b) in x.data().iter().zip(y.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: bit-exact match required");
+        }
+    }
+
     #[test]
     fn matmul_small_known_values() {
         let a = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let b = Tensor::from_vec(vec![3, 2], vec![7., 8., 9., 10., 11., 12.]);
-        let c = a.matmul(&b);
+        let c = mm(&a, &b);
         assert_eq!(c.shape(), &[2, 2]);
         assert_eq!(c.data(), &[58., 64., 139., 154.]);
     }
@@ -608,7 +547,7 @@ mod tests {
     fn matmul_identity_is_noop() {
         let a = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]);
         let i = Tensor::from_vec(vec![2, 2], vec![1., 0., 0., 1.]);
-        assert_eq!(a.matmul(&i), a);
+        assert_eq!(mm(&a, &i), a);
     }
 
     #[test]
@@ -616,7 +555,7 @@ mod tests {
     fn matmul_shape_mismatch_panics() {
         let a = Tensor::zeros(vec![2, 3]);
         let b = Tensor::zeros(vec![2, 2]);
-        let _ = a.matmul(&b);
+        a.matmul_into(&b, &mut Tensor::zeros(vec![2, 2]));
     }
 
     #[test]
@@ -624,12 +563,7 @@ mod tests {
         // Values chosen to exercise the zero-skip branch too.
         let a = Tensor::from_vec(vec![3, 2], vec![1., 0., -2.5, 3., 0., 4.]);
         let b = Tensor::from_vec(vec![3, 4], (0..12).map(|i| i as f32 * 0.5 - 2.0).collect());
-        let fused = a.matmul_tn(&b);
-        let naive = a.transpose().matmul(&b);
-        assert_eq!(fused.shape(), naive.shape());
-        for (x, y) in fused.data().iter().zip(naive.data()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "bit-exact match required");
-        }
+        assert_bits(&mm_tn(&a, &b), &mm(&a.transpose(), &b), "tn");
     }
 
     #[test]
@@ -639,12 +573,7 @@ mod tests {
             vec![4, 3],
             (0..12).map(|i| (i as f32 - 6.0) * 0.3).collect(),
         );
-        let fused = a.matmul_nt(&b);
-        let naive = a.matmul(&b.transpose());
-        assert_eq!(fused.shape(), naive.shape());
-        for (x, y) in fused.data().iter().zip(naive.data()) {
-            assert_eq!(x.to_bits(), y.to_bits(), "bit-exact match required");
-        }
+        assert_bits(&mm_nt(&a, &b), &mm(&a, &b.transpose()), "nt");
     }
 
     #[test]
@@ -653,7 +582,7 @@ mod tests {
         let b = Tensor::from_vec(vec![2, 2], vec![5., 6., 7., 8.]);
         let mut scratch = Tensor::from_vec(vec![2, 2], vec![9.0; 4]); // stale data
         a.matmul_tn_into(&b, &mut scratch);
-        assert_eq!(scratch, a.transpose().matmul(&b), "scratch is overwritten");
+        assert_eq!(scratch, mm(&a.transpose(), &b), "scratch is overwritten");
     }
 
     #[test]
@@ -661,7 +590,7 @@ mod tests {
     fn matmul_tn_shape_mismatch_panics() {
         let a = Tensor::zeros(vec![3, 2]);
         let b = Tensor::zeros(vec![2, 4]);
-        let _ = a.matmul_tn(&b);
+        a.matmul_tn_into(&b, &mut Tensor::zeros(vec![2, 4]));
     }
 
     #[test]
@@ -669,7 +598,7 @@ mod tests {
     fn matmul_nt_shape_mismatch_panics() {
         let a = Tensor::zeros(vec![2, 3]);
         let b = Tensor::zeros(vec![4, 2]);
-        let _ = a.matmul_nt(&b);
+        a.matmul_nt_into(&b, &mut Tensor::zeros(vec![2, 4]));
     }
 
     /// Deterministic pseudo-random fill with exact zeros sprinkled in, so
@@ -705,16 +634,10 @@ mod tests {
             let b = fill(vec![k, n], 2);
             let at = fill(vec![k, m], 3);
             let bt = fill(vec![n, k], 4);
-            for (blocked, naive) in [
-                (a.matmul(&b), a.matmul_naive(&b)),
-                (at.matmul_tn(&b), at.matmul_tn_naive(&b)),
-                (a.matmul_nt(&bt), a.matmul_nt_naive(&bt)),
-            ] {
-                assert_eq!(blocked.shape(), naive.shape());
-                for (x, y) in blocked.data().iter().zip(naive.data()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "bit-exact at {m}x{k}x{n}");
-                }
-            }
+            let at_shape = format!("{m}x{k}x{n}");
+            assert_bits(&mm(&a, &b), &a.matmul_naive(&b), &at_shape);
+            assert_bits(&mm_tn(&at, &b), &at.matmul_tn_naive(&b), &at_shape);
+            assert_bits(&mm_nt(&a, &bt), &a.matmul_nt_naive(&bt), &at_shape);
         }
     }
 
@@ -769,12 +692,6 @@ mod tests {
     }
 
     #[test]
-    fn argmax_rows_picks_max() {
-        let t = Tensor::from_vec(vec![2, 3], vec![0.1, 0.9, 0.0, 0.5, 0.2, 0.7]);
-        assert_eq!(t.argmax_rows(), vec![1, 2]);
-    }
-
-    #[test]
     fn reshape_preserves_data() {
         let t = Tensor::from_vec(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
         let r = t.reshape(vec![3, 2]);
@@ -782,12 +699,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_distances() {
-        let a = Tensor::from_vec(vec![3], vec![3., 0., 4.]);
-        let b = Tensor::from_vec(vec![3], vec![0., 0., 0.]);
-        assert!((a.l2_norm() - 5.0).abs() < 1e-6);
-        assert!((a.sq_dist(&b) - 25.0).abs() < 1e-6);
-        assert!((sq_dist_slice(a.data(), b.data()) - 25.0).abs() < 1e-9);
+    fn sq_dist_slice_sums_squared_differences() {
+        assert!((sq_dist_slice(&[3., 0., 4.], &[0., 0., 0.]) - 25.0).abs() < 1e-9);
     }
 
     #[test]

@@ -34,7 +34,8 @@ pub fn weights_from_bytes(bytes: &[u8]) -> Result<Vec<f32>, WeightsDecodeError> 
     }
     let count = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes")) as usize;
     let payload = &bytes[12..];
-    if payload.len() != count * 4 {
+    // The count is untrusted: `count * 4` may overflow.
+    if count.checked_mul(4) != Some(payload.len()) {
         return Err(WeightsDecodeError::LengthMismatch {
             declared: count,
             actual: payload.len() / 4,
@@ -161,6 +162,13 @@ mod tests {
     fn rejects_truncation() {
         let bytes = weights_to_bytes(&[1.0, 2.0]);
         let err = weights_from_bytes(&bytes[..bytes.len() - 4]).unwrap_err();
+        assert!(matches!(err, WeightsDecodeError::LengthMismatch { .. }));
+        // A count whose byte size overflows (`4 · (2^62 + 1)` wraps to 4)
+        // must not be matched against a 4-byte payload.
+        let mut forged = MAGIC.to_vec();
+        forged.extend_from_slice(&((1u64 << 62) + 1).to_le_bytes());
+        forged.extend_from_slice(&1.0f32.to_le_bytes());
+        let err = weights_from_bytes(&forged).unwrap_err();
         assert!(matches!(err, WeightsDecodeError::LengthMismatch { .. }));
     }
 

@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::layers::{Conv2d, Dense, Flatten, Relu};
 use crate::model::Sequential;
 
 /// Shape of the model's input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputKind {
     /// Flat feature vector of the given dimension.
     Flat(usize),
@@ -42,7 +41,7 @@ impl InputKind {
 }
 
 /// Architecture description, buildable into a [`Sequential`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Architecture {
     /// Multi-layer perceptron with ReLU activations.
     Mlp {
@@ -72,7 +71,7 @@ pub enum Architecture {
 
 /// A complete model specification: architecture + virtual size for the
 /// cost model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Human-readable name (appears in reports).
     pub name: String,
@@ -252,7 +251,7 @@ mod tests {
         let InputKind::Image { c, h, w } = spec.input() else {
             panic!("cnn takes images")
         };
-        let out = m.forward(&Tensor::zeros(vec![2, c, h, w]), false);
+        let out = m.forward_pooled(&Tensor::zeros(vec![2, c, h, w]), false);
         assert_eq!(out.shape(), &[2, 10]);
     }
 

@@ -1,12 +1,19 @@
 //! Property-based tests of the tensor/NN substrate's invariants.
 
 use proptest::prelude::*;
-use unifyfl_tensor::loss::softmax_cross_entropy;
+use unifyfl_tensor::loss::softmax_cross_entropy_into;
 use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::{weights_from_bytes, weights_to_bytes, Tensor};
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-1.0e3f32..1.0e3).prop_map(|v| v)
+}
+
+/// `a · b` into a fresh output.
+fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(vec![a.shape()[0], b.shape()[1]]);
+    a.matmul_into(b, &mut out);
+    out
 }
 
 proptest! {
@@ -36,8 +43,8 @@ proptest! {
         let tb = Tensor::from_vec(vec![3, 2], b);
         let mut scaled_a = ta.clone();
         scaled_a.scale(alpha);
-        let lhs = scaled_a.matmul(&tb);
-        let mut rhs = ta.matmul(&tb);
+        let lhs = matmul(&scaled_a, &tb);
+        let mut rhs = matmul(&ta, &tb);
         rhs.scale(alpha);
         for (x, y) in lhs.data().iter().zip(rhs.data()) {
             prop_assert!((x - y).abs() < 1e-2, "{x} vs {y}");
@@ -59,11 +66,18 @@ proptest! {
         label in 0usize..4,
     ) {
         let t = Tensor::from_vec(vec![2, 4], logits);
-        let out = softmax_cross_entropy(&t, &[label, (label + 1) % 4]);
-        prop_assert!(out.loss >= 0.0);
-        prop_assert!(out.loss.is_finite());
+        let mut grad = Tensor::zeros(vec![0]);
+        let loss = softmax_cross_entropy_into(
+            &t,
+            &[label, (label + 1) % 4],
+            &mut grad,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        );
+        prop_assert!(loss >= 0.0);
+        prop_assert!(loss.is_finite());
         for row in 0..2 {
-            let s: f32 = out.grad.data()[row * 4..(row + 1) * 4].iter().sum();
+            let s: f32 = grad.data()[row * 4..(row + 1) * 4].iter().sum();
             prop_assert!(s.abs() < 1e-4, "row grad sum {s}");
         }
     }
@@ -82,14 +96,18 @@ proptest! {
     }
 
     /// Model inference is deterministic: same weights, same input, same
-    /// logits.
+    /// loss and accuracy against every label, bit for bit.
     #[test]
     fn inference_is_deterministic(seed in any::<u64>(), input in proptest::collection::vec(-2.0f32..2.0, 6)) {
         let spec = ModelSpec::mlp(6, vec![8], 3);
         let mut m1 = spec.build(seed);
         let mut m2 = spec.build(seed);
         let x = Tensor::from_vec(vec![1, 6], input);
-        prop_assert_eq!(m1.forward(&x, false), m2.forward(&x, false));
+        for label in 0..3 {
+            let (l1, a1) = m1.evaluate_batch(&x, &[label]);
+            let (l2, a2) = m2.evaluate_batch(&x, &[label]);
+            prop_assert_eq!((l1.to_bits(), a1.to_bits()), (l2.to_bits(), a2.to_bits()));
+        }
     }
 
     /// The cache-blocked matmul kernels are **bit-identical** to the naive
@@ -127,15 +145,21 @@ proptest! {
             }
         };
 
+        // Every blocked kernel writes into one reused `[m, n]` output, so
+        // each also proves it overwrites what the previous one left there.
+        let mut out = Tensor::zeros(vec![m, n]);
         let a = fill(&[m, k], seed);
         let b = fill(&[k, n], seed ^ 0xABCD);
-        assert_bits(&a.matmul(&b), &a.matmul_naive(&b));
+        a.matmul_into(&b, &mut out);
+        assert_bits(&out, &a.matmul_naive(&b));
 
         let at = fill(&[k, m], seed ^ 0x1111);
-        assert_bits(&at.matmul_tn(&b), &at.matmul_tn_naive(&b));
+        at.matmul_tn_into(&b, &mut out);
+        assert_bits(&out, &at.matmul_tn_naive(&b));
 
         let bt = fill(&[n, k], seed ^ 0x2222);
-        assert_bits(&a.matmul_nt(&bt), &a.matmul_nt_naive(&bt));
+        a.matmul_nt_into(&bt, &mut out);
+        assert_bits(&out, &a.matmul_nt_naive(&bt));
     }
 }
 
@@ -196,8 +220,8 @@ proptest! {
         let weight = fill(&[out_c, in_c, k, k], seed, zero_w);
         let bias = fill(&[out_c], seed ^ 0xB1A5, 0).into_vec();
         let mut conv = Conv2d::new(in_c, out_c, k, pad, &mut rand::rngs::StdRng::seed_from_u64(seed));
-        conv.params_mut()[0].copy_from_slice(weight.data());
-        conv.params_mut()[1].copy_from_slice(&bias);
+        let mut slots = [weight.data(), &bias[..]].into_iter();
+        conv.for_each_param_mut(&mut |p| p.copy_from_slice(slots.next().expect("two slots")));
         conv.zero_grads();
         let mut grad_w = vec![0.0f32; weight.len()];
         let mut grad_b = vec![0.0f32; out_c];
@@ -211,8 +235,11 @@ proptest! {
             let gin = conv.backward_arena(&g, &mut arena);
             let gin_naive = conv_backward_naive(&x, &weight, &g, pad, &mut grad_w, &mut grad_b);
             assert_bits(gin.data(), gin_naive.data(), "grad_in");
-            assert_bits(conv.grads()[0], &grad_w, "grad_w");
-            assert_bits(conv.grads()[1], &grad_b, "grad_b");
+            let mut naive_grads = [(&grad_w[..], "grad_w"), (&grad_b[..], "grad_b")].into_iter();
+            conv.for_each_grad(&mut |lowered| {
+                let (naive, what) = naive_grads.next().expect("two slots");
+                assert_bits(lowered, naive, what);
+            });
             arena.recycle(gin);
             arena.recycle(out);
         }

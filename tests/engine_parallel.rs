@@ -5,10 +5,10 @@
 //! and under chaos, through the straggler carryover path and under
 //! MultiKRUM scoring.
 //!
-//! Also home to the `matmul_tn`/`matmul_nt` bit-exactness proptests: the
-//! fused kernels the per-cluster threads run in dense-layer backward must
-//! match the naive `transpose().matmul()` formulation bit for bit, or
-//! released weight CIDs would drift between engine-equal runs.
+//! Also home to the `matmul_tn_into`/`matmul_nt_into` bit-exactness
+//! proptests: the fused kernels the per-cluster threads run in dense-layer
+//! backward must match the transpose-then-multiply formulation bit for
+//! bit, or released weight CIDs would drift between engine-equal runs.
 
 use proptest::prelude::*;
 use unifyfl::core::cluster::ClusterConfig;
@@ -230,9 +230,9 @@ fn heterogeneous_cluster_counts_stay_identical() {
 }
 
 proptest! {
-    /// `matmul_tn` must match `transpose().matmul()` bit for bit on
-    /// arbitrary shapes and values (including exact zeros, which both
-    /// kernels skip).
+    /// `matmul_tn_into` must match `transpose()` then `matmul_naive` bit
+    /// for bit on arbitrary shapes and values (including exact zeros,
+    /// which both kernels skip).
     #[test]
     fn matmul_tn_is_bit_exact(
         k in 1usize..8,
@@ -243,15 +243,17 @@ proptest! {
         let (a, b) = random_operands(k * m, k * n, seed);
         let a = Tensor::from_vec(vec![k, m], a);
         let b = Tensor::from_vec(vec![k, n], b);
-        let fused = a.matmul_tn(&b);
-        let naive = a.transpose().matmul(&b);
+        let mut fused = Tensor::zeros(vec![m, n]);
+        a.matmul_tn_into(&b, &mut fused);
+        let naive = a.transpose().matmul_naive(&b);
         prop_assert_eq!(fused.shape(), naive.shape());
         for (x, y) in fused.data().iter().zip(naive.data()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }
 
-    /// `matmul_nt` must match `matmul(&rhs.transpose())` bit for bit.
+    /// `matmul_nt_into` must match `matmul_naive(&rhs.transpose())` bit for
+    /// bit.
     #[test]
     fn matmul_nt_is_bit_exact(
         m in 1usize..8,
@@ -262,8 +264,9 @@ proptest! {
         let (a, b) = random_operands(m * k, n * k, seed);
         let a = Tensor::from_vec(vec![m, k], a);
         let b = Tensor::from_vec(vec![n, k], b);
-        let fused = a.matmul_nt(&b);
-        let naive = a.matmul(&b.transpose());
+        let mut fused = Tensor::zeros(vec![m, n]);
+        a.matmul_nt_into(&b, &mut fused);
+        let naive = a.matmul_naive(&b.transpose());
         prop_assert_eq!(fused.shape(), naive.shape());
         for (x, y) in fused.data().iter().zip(naive.data()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
